@@ -1,7 +1,7 @@
 //! The node manager: provisioning, monitoring, warning handling, and
 //! replacement of transient servers (paper §4, Fig. 5).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
@@ -51,12 +51,10 @@ struct NmInner {
     replaced: HashMap<InstanceId, bool>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
-    /// Markets excluded from selection until the stored time
-    /// (`cfg.market_cooldown` after their last failure).
-    cooldown_until: HashMap<MarketId, SimTime>,
-    /// Per-market circuit breakers (closed = absent). Empty unless the
+    /// Per-market circuit breakers (closed = absent), in market order so
+    /// iteration reaching the trace is deterministic. Empty unless the
     /// breaker knobs in [`SelectionConfig`] are enabled.
-    breakers: HashMap<MarketId, BreakerState>,
+    breakers: BTreeMap<MarketId, BreakerState>,
     /// Recent revocation times per market, pruned to
     /// `cfg.breaker_window`; feeds the revocation-rate trip condition.
     revoke_times: HashMap<MarketId, Vec<SimTime>>,
@@ -75,48 +73,36 @@ struct NmInner {
 const HAZARD_REFIT_INTERVAL: SimDuration = SimDuration::from_mins(5);
 
 impl NmInner {
-    #[allow(clippy::too_many_arguments)]
-    fn view<'a>(
-        cloud: &'a CloudSim,
-        cfg: &'a SelectionConfig,
-        job: &'a JobProfile,
-        storage: StorageConfig,
-        bid: BidPolicy,
-        n: u32,
+    /// Asks the selection policy (through `pick`) for an allocation at
+    /// `now`, over a market view that excludes open-breaker markets.
+    fn select(
+        &mut self,
         now: SimTime,
-        cooled: &'a [MarketId],
-    ) -> MarketView<'a> {
-        MarketView {
-            catalog: cloud.catalog(),
+        pick: impl FnOnce(&mut dyn SelectionPolicy, &MarketView<'_>) -> Vec<(MarketId, u32)>,
+    ) -> Vec<(MarketId, u32)> {
+        let cooled = self.cooled_markets();
+        let view = MarketView {
+            catalog: self.cloud.catalog(),
             now,
-            bid,
-            cfg,
-            job,
-            storage,
-            n,
-            cooled,
-        }
+            bid: self.bid,
+            cfg: &self.cfg,
+            job: &self.job,
+            storage: self.storage,
+            n: self.n,
+            cooled: &cooled,
+        };
+        pick(self.policy.as_mut(), &view)
     }
 
-    /// Markets excluded from selection at `now`: cooldown windows plus
-    /// open circuit breakers. Half-open breakers are deliberately *not*
-    /// excluded — the next allocation into that market is the probe.
-    fn cooled_markets(&self, now: SimTime) -> Vec<MarketId> {
-        let mut ms: Vec<MarketId> = self
-            .cooldown_until
+    /// Markets excluded from selection: those with an open circuit
+    /// breaker. Half-open breakers are deliberately *not* excluded — the
+    /// next allocation into that market is the probe.
+    fn cooled_markets(&self) -> Vec<MarketId> {
+        self.breakers
             .iter()
-            .filter(|(_, until)| **until > now)
+            .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
             .map(|(m, _)| *m)
-            .collect();
-        ms.extend(
-            self.breakers
-                .iter()
-                .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
-                .map(|(m, _)| *m),
-        );
-        ms.sort();
-        ms.dedup();
-        ms
+            .collect()
     }
 
     /// Whether any breaker trip condition is configured.
@@ -133,9 +119,8 @@ impl NmInner {
         if self.breakers.is_empty() {
             return;
         }
-        // Sorted order: HashMap iteration must never reach the trace.
-        let mut ids: Vec<MarketId> = self.breakers.keys().copied().collect();
-        ids.sort();
+        // Collected first: the loop below mutates the map.
+        let ids: Vec<MarketId> = self.breakers.keys().copied().collect();
         for id in ids {
             // A long-idle breaker may cascade open → half-open → closed
             // within one tick.
@@ -260,26 +245,6 @@ impl NmInner {
         self.refresh_cluster_mttf(t);
     }
 
-    /// Starts (or extends) the cooldown window for a market that just
-    /// failed. A no-op when `cfg.market_cooldown` is zero, so default
-    /// configurations behave exactly as before cooldowns existed.
-    fn cool_down(&mut self, market: MarketId, t: SimTime) {
-        if self.cfg.market_cooldown == SimDuration::ZERO {
-            return;
-        }
-        let until = t + self.cfg.market_cooldown;
-        let entry = self.cooldown_until.entry(market).or_insert(until);
-        if *entry < until {
-            *entry = until;
-        }
-        self.cloud
-            .trace()
-            .emit_with(t, || flint_engine::EventKind::MarketCooledDown {
-                market: u64::from(market.0),
-                until_ms: until.as_millis(),
-            });
-    }
-
     fn request_allocation(&mut self, alloc: &[(MarketId, u32)], now: SimTime) {
         let total: u32 = alloc.iter().map(|(_, c)| *c).sum();
         let risk = self.policy.decision_risk();
@@ -397,20 +362,7 @@ impl NmInner {
     }
 
     fn provision_initial(&mut self, now: SimTime) {
-        let alloc = {
-            let cooled = self.cooled_markets(now);
-            let view = Self::view(
-                &self.cloud,
-                &self.cfg,
-                &self.job,
-                self.storage,
-                self.bid,
-                self.n,
-                now,
-                &cooled,
-            );
-            self.policy.initial(&view)
-        };
+        let alloc = self.select(now, |policy, view| policy.initial(view));
         self.request_allocation(&alloc, now);
     }
 
@@ -454,22 +406,8 @@ impl NmInner {
             }
             let batch_end = to_replace.iter().map(|(t, _, _)| *t).max();
             for (t, failed, count) in to_replace {
-                self.cool_down(failed, t);
                 self.tick_breakers(t);
-                let cooled = self.cooled_markets(t);
-                let alloc = {
-                    let view = Self::view(
-                        &self.cloud,
-                        &self.cfg,
-                        &self.job,
-                        self.storage,
-                        self.bid,
-                        self.n,
-                        t,
-                        &cooled,
-                    );
-                    self.policy.replacement(&view, failed, count)
-                };
+                let alloc = self.select(t, |policy, view| policy.replacement(view, failed, count));
                 self.replacements += 1;
                 let round = self.replacements;
                 self.cloud
@@ -483,6 +421,7 @@ impl NmInner {
                 // fell back to the fixed-price pool, the replacement *is*
                 // the on-demand backstop — record it as such.
                 if self.cfg.backstop && !alloc.is_empty() {
+                    let cooled = self.cooled_markets();
                     let cat = self.cloud.catalog();
                     let od = cat.on_demand_id();
                     let all_od = alloc.iter().all(|(m, _)| *m == od);
@@ -571,8 +510,7 @@ impl NodeManager {
             market_of: HashMap::new(),
             replaced: HashMap::new(),
             replacements: 0,
-            cooldown_until: HashMap::new(),
-            breakers: HashMap::new(),
+            breakers: BTreeMap::new(),
             revoke_times: HashMap::new(),
             breaker_trips: 0,
             backstop_workers: 0,
@@ -624,19 +562,6 @@ impl NodeManagerHandle {
     /// floor or all-markets-open fallback).
     pub fn backstop_workers(&self) -> u64 {
         self.0.lock().backstop_workers
-    }
-
-    /// Markets whose breakers are currently open (sorted).
-    pub fn open_breakers(&self) -> Vec<MarketId> {
-        let inner = self.0.lock();
-        let mut ms: Vec<MarketId> = inner
-            .breakers
-            .iter()
-            .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
-            .map(|(m, _)| *m)
-            .collect();
-        ms.sort();
-        ms
     }
 
     /// The selection policy's name.
@@ -756,44 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn cooldown_still_maintains_cluster_size() {
-        // With a long cooldown window, replacement rounds must redirect to
-        // other markets — never suppress the replacement itself.
-        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
-        let cloud = CloudSim::with_seed(catalog, 13);
-        let start = SimTime::ZERO + SimDuration::from_days(14);
-        let ft = new_shared(SimDuration::MAX);
-        let cfg = SelectionConfig {
-            market_cooldown: SimDuration::from_hours(12),
-            ..SelectionConfig::default()
-        };
-        let (mut nm, handle) = NodeManager::launch(
-            cloud,
-            Box::new(BatchSelection),
-            BidPolicy::OnDemandPrice,
-            cfg,
-            JobProfile::default(),
-            StorageConfig::default(),
-            8,
-            ft,
-            start,
-        );
-        let evs = nm.events(start, start + SimDuration::from_days(20));
-        let adds = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Add { .. }))
-            .count();
-        let removes = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Remove { .. }))
-            .count();
-        assert_eq!(adds, removes + 8, "adds {adds}, removes {removes}");
-        if removes > 0 {
-            assert!(handle.replacements() > 0);
-        }
-    }
-
-    #[test]
     fn breakers_trip_and_cluster_size_is_maintained() {
         // Hair-trigger breaker: one revocation in the window opens the
         // market. Replacements must still keep the cluster at n, only
@@ -875,10 +762,7 @@ mod tests {
         assert_eq!(inner.breaker_trips, 0, "one strike is not enough");
         inner.note_revocation(m, start + SimDuration::from_mins(10));
         assert_eq!(inner.breaker_trips, 1);
-        assert_eq!(
-            inner.cooled_markets(start + SimDuration::from_mins(10)),
-            vec![m]
-        );
+        assert_eq!(inner.cooled_markets(), vec![m]);
         // ...the cooldown expires into half-open (selectable again)...
         let probe_t = start + SimDuration::from_mins(50);
         inner.tick_breakers(probe_t);
@@ -886,7 +770,7 @@ mod tests {
             matches!(inner.breakers[&m], BreakerState::HalfOpen { .. }),
             "cooldown elapsed: breaker should be probing"
         );
-        assert!(inner.cooled_markets(probe_t).is_empty());
+        assert!(inner.cooled_markets().is_empty());
         // ...a revocation during the probe re-opens...
         inner.note_revocation(m, probe_t);
         assert_eq!(inner.breaker_trips, 2, "failed probe re-trips");

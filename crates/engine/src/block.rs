@@ -481,11 +481,6 @@ impl BlockManager {
         self.disk.used
     }
 
-    /// Memory capacity in virtual bytes.
-    pub fn mem_capacity(&self) -> u64 {
-        self.mem_capacity
-    }
-
     /// Drops every block (worker revoked).
     pub fn clear(&mut self) {
         self.mem.clear();

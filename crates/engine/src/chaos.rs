@@ -14,8 +14,13 @@
 //! Every decision is drawn from `flint_simtime::rng` sub-streams of the
 //! campaign seed — never the wall clock — so the same seed replays the
 //! same faults at the same virtual instants on every host.
+//!
+//! [`run_chaos`] is the one chaos-run path, shared by `flint chaos` and
+//! the recovery test suites.
 
-use flint_market::HazardSpec;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use flint_market::{correlated_groups, correlation_matrix, HazardSpec, MarketCatalog};
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -23,7 +28,11 @@ use rand::Rng;
 
 use crate::checkpoint::{StoreFaultPolicy, WriteFault};
 use crate::cluster::WorkerSpec;
+use crate::driver::Driver;
+use crate::error::{EngineError, Result};
 use crate::injector::{FailureInjector, ScriptedInjector, WorkerEvent};
+use crate::manifest::RunManifest;
+use crate::stats::RunStats;
 
 /// Parameters of one seeded chaos campaign. Probabilities are per
 /// scheduled revocation event (or per write, for the store knobs);
@@ -133,6 +142,77 @@ impl ChaosConfig {
             collapse_len: SimDuration::from_mins(10),
         }
     }
+
+    /// The default campaign for `seed` on `n_workers` base workers,
+    /// narrowed to the fault kinds named in `kinds` — a comma-separated
+    /// list of `revoke`, `mass`, `flap`, `delay`, `store`, `driver-crash`
+    /// and `market-collapse`, or `all`. `all` means every in-run kind;
+    /// `driver-crash` and `market-collapse` change the campaign's shape
+    /// (runs suspend and replay through [`Driver::resume`]), so they arm
+    /// only when named explicitly, each at probability 0.5. Mass
+    /// revocations take out correlated groups drawn from the synthetic
+    /// EC2 catalog of `seed`.
+    pub fn for_fault_kinds(seed: u64, kinds: &str, n_workers: u32) -> Self {
+        let named: Vec<&str> = kinds.split(',').map(str::trim).collect();
+        let has = |k: &str| kinds == "all" || named.contains(&k);
+        let mut cfg = ChaosConfig::new(seed);
+        cfg.n_workers = n_workers;
+        if !has("revoke") && !has("mass") && !has("flap") {
+            cfg.revocations = 0;
+        }
+        if has("mass") {
+            cfg.groups = correlated_ext_groups(seed, n_workers);
+        } else {
+            cfg.mass_revoke_prob = 0.0;
+        }
+        if !has("flap") {
+            cfg.flap_prob = 0.0;
+        }
+        if !has("delay") {
+            cfg.delayed_frac = 0.0;
+        }
+        if !has("store") {
+            cfg.torn_write_prob = 0.0;
+            cfg.failed_write_prob = 0.0;
+            cfg.outages = 0;
+        }
+        if named.contains(&"driver-crash") {
+            cfg.driver_crash_prob = 0.5;
+        }
+        if named.contains(&"market-collapse") {
+            cfg.market_collapse_prob = 0.5;
+        }
+        cfg
+    }
+}
+
+/// Builds correlated ext-id groups for mass revocations by grouping the
+/// catalog's spot markets on their spike correlation and assigning base
+/// workers to markets round-robin — the chaos analogue of the paper's
+/// observation that servers in correlated markets fail together.
+fn correlated_ext_groups(seed: u64, workers: u32) -> Vec<Vec<u64>> {
+    let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
+    let spot = catalog.spot_markets();
+    if spot.is_empty() {
+        return Vec::new();
+    }
+    let traces: Vec<_> = spot.iter().map(|m| &m.trace).collect();
+    let corr = correlation_matrix(
+        &traces,
+        SimTime::ZERO,
+        SimTime::ZERO + SimDuration::from_days(30),
+        SimDuration::from_mins(10),
+        2.0,
+    );
+    correlated_groups(&corr, 0.25)
+        .into_iter()
+        .map(|group| {
+            (1..=u64::from(workers))
+                .filter(|ext| group.contains(&(((ext - 1) as usize) % spot.len())))
+                .collect::<Vec<u64>>()
+        })
+        .filter(|g| !g.is_empty())
+        .collect()
 }
 
 /// A fully materialized chaos schedule: the worker-event script, the
@@ -337,11 +417,6 @@ pub struct ChaosInjector {
 }
 
 impl ChaosInjector {
-    /// Generates the schedule for `cfg` and wraps it.
-    pub fn new(cfg: &ChaosConfig) -> Self {
-        Self::from_schedule(ChaosSchedule::generate(cfg))
-    }
-
     /// Wraps an existing schedule (shared with a store-fault policy).
     pub fn from_schedule(schedule: ChaosSchedule) -> Self {
         ChaosInjector {
@@ -349,11 +424,6 @@ impl ChaosInjector {
             notes: schedule.notes,
             note_cursor: 0,
         }
-    }
-
-    /// Worker events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.inner.remaining()
     }
 }
 
@@ -412,9 +482,91 @@ impl StoreFaultPolicy for ChaosStoreFaults {
     }
 }
 
+/// How one seeded chaos run ended, judged against the headline
+/// invariant: byte-identical to the fault-free twin, or a typed error.
+#[derive(Debug)]
+pub enum ChaosOutcome<T> {
+    /// Completed with the twin's output.
+    Identical {
+        /// The crash wave, when the run was killed and resumed.
+        resumed_from: Option<u64>,
+        /// Statistics of the session that completed.
+        stats: RunStats,
+        /// Virtual makespan of the session that completed.
+        runtime: SimDuration,
+    },
+    /// Failed fail-stop with a typed error — acceptable under chaos.
+    Typed(EngineError),
+    /// Completed with this output, which differs from the twin's: an
+    /// invariant violation.
+    WrongData(T),
+    /// Panicked: an invariant violation.
+    Panicked,
+}
+
+/// Runs `job` once under `schedule` and classifies the result against
+/// `expect`, the fault-free output.
+///
+/// `build` is called once per session and returns a fresh driver with
+/// the caller's config, hooks, workers and trace sinks. The runner owns
+/// the fault wiring: the schedule's [`ChaosInjector`] replaces the
+/// driver's injector, [`ChaosSchedule::store_faults`] becomes the store
+/// fault policy, and the session suspends at
+/// [`ChaosSchedule::driver_crash_wave`]. A suspended session is dropped
+/// (closing its trace sinks) and a fresh one replays through
+/// [`Driver::resume`]. Manifest writes bypass the store fault policy,
+/// so a missing or undecodable manifest panics: a violation.
+pub fn run_chaos<T: PartialEq>(
+    schedule: &ChaosSchedule,
+    ccfg: &ChaosConfig,
+    mut build: impl FnMut() -> Driver,
+    mut job: impl FnMut(&mut Driver) -> Result<T>,
+    expect: &T,
+) -> ChaosOutcome<T> {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut session = |suspend_after_waves| {
+            let mut d = build();
+            d.install_faults(
+                Box::new(ChaosInjector::from_schedule(schedule.clone())),
+                suspend_after_waves,
+            );
+            d.checkpoints_mut()
+                .set_fault_policy(Box::new(schedule.store_faults(ccfg)));
+            d
+        };
+        let mut d = session(schedule.driver_crash_wave);
+        let mut out = job(&mut d);
+        d.trace().flush();
+        let mut resumed_from = None;
+        if let Err(EngineError::Suspended { manifest: key, .. }) = &out {
+            let text = d.checkpoints().get_manifest(key);
+            let manifest = RunManifest::decode(text.expect("suspension persists its manifest"))
+                .expect("persisted manifest decodes");
+            drop(d);
+            d = session(None);
+            d.resume(&manifest)?;
+            out = job(&mut d);
+            d.trace().flush();
+            resumed_from = schedule.driver_crash_wave;
+        }
+        out.map(|v| (v, d.stats().clone(), d.now().since_epoch(), resumed_from))
+    }));
+    match result {
+        Err(_) => ChaosOutcome::Panicked,
+        Ok(Err(e)) => ChaosOutcome::Typed(e),
+        Ok(Ok((out, ..))) if out != *expect => ChaosOutcome::WrongData(out),
+        Ok(Ok((_, stats, runtime, resumed_from))) => ChaosOutcome::Identical {
+            resumed_from,
+            stats,
+            runtime,
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DriverConfig, EagerCheckpoint, NoFailures, Value};
 
     #[test]
     fn same_seed_same_schedule() {
@@ -563,6 +715,105 @@ mod tests {
         if let Some((start, end)) = s.outages.first().copied() {
             assert!(a.read_unavailable("k", start));
             assert!(!a.read_unavailable("k", end));
+        }
+    }
+
+    /// A campaign with every in-run fault kind switched off, so the
+    /// classification tests see only what the job itself does.
+    fn quiet(seed: u64) -> ChaosConfig {
+        ChaosConfig::for_fault_kinds(seed, "", 4)
+    }
+
+    fn session() -> Driver {
+        let mut d = Driver::new(
+            DriverConfig::default(),
+            Box::new(EagerCheckpoint),
+            Box::new(NoFailures),
+        );
+        for ext in 1..=4 {
+            d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+        }
+        d
+    }
+
+    fn job(d: &mut Driver) -> Result<Vec<Value>> {
+        let src = d.ctx().parallelize((0..400).map(Value::from_i64), 8);
+        let pairs = d.ctx().map(src, |v| {
+            Value::pair(Value::Int(v.as_i64().unwrap() % 7), v.clone())
+        });
+        let sums = d.ctx().reduce_by_key(pairs, 4, |a, b| {
+            Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
+        });
+        let sorted = d.ctx().sort_by_key(sums, 3, true);
+        d.collect(sorted)
+    }
+
+    #[test]
+    fn fault_kinds_shape_the_default_campaign() {
+        let all = ChaosConfig::for_fault_kinds(3, "all", 4);
+        assert_eq!(all.revocations, ChaosConfig::new(3).revocations);
+        assert!(all.torn_write_prob > 0.0 && all.flap_prob > 0.0);
+        assert_eq!(all.driver_crash_prob, 0.0, "crashes arm only by name");
+        let store = ChaosConfig::for_fault_kinds(3, "store,driver-crash", 4);
+        assert_eq!(store.revocations, 0);
+        assert!(store.torn_write_prob > 0.0 && store.outages > 0);
+        assert_eq!(store.driver_crash_prob, 0.5);
+        assert_eq!(store.market_collapse_prob, 0.0);
+        let none = quiet(3);
+        assert!(ChaosSchedule::generate(&none).worker_events.is_empty());
+        assert_eq!(none.torn_write_prob + none.failed_write_prob, 0.0);
+    }
+
+    #[test]
+    fn runner_classifies_every_ending() {
+        let ccfg = quiet(1);
+        let schedule = ChaosSchedule::generate(&ccfg);
+        let expect = job(&mut session()).unwrap();
+        assert!(matches!(
+            run_chaos(&schedule, &ccfg, session, job, &expect),
+            ChaosOutcome::Identical {
+                resumed_from: None,
+                ..
+            }
+        ));
+        let wrong = vec![Value::Int(0)];
+        assert!(matches!(
+            run_chaos(&schedule, &ccfg, session, job, &wrong),
+            ChaosOutcome::WrongData(out) if out == expect
+        ));
+        let typed = |_: &mut Driver| -> Result<Vec<Value>> { Err(EngineError::NoWorkers) };
+        assert!(matches!(
+            run_chaos(&schedule, &ccfg, session, typed, &expect),
+            ChaosOutcome::Typed(EngineError::NoWorkers)
+        ));
+        let panics = |_: &mut Driver| -> Result<Vec<Value>> { panic!("job bug") };
+        assert!(matches!(
+            run_chaos(&schedule, &ccfg, session, panics, &expect),
+            ChaosOutcome::Panicked
+        ));
+    }
+
+    #[test]
+    fn crash_wave_resumes_byte_identical() {
+        let mut ccfg = quiet(2);
+        ccfg.driver_crash_prob = 1.0;
+        ccfg.driver_crash_wave_max = 3;
+        let schedule = ChaosSchedule::generate(&ccfg);
+        let w = schedule.driver_crash_wave.expect("crash drawn at prob 1.0");
+        let mut twin = session();
+        let expect = job(&mut twin).unwrap();
+        assert!(twin.waves_committed() > w, "the job must outlive wave {w}");
+        match run_chaos(&schedule, &ccfg, session, job, &expect) {
+            ChaosOutcome::Identical {
+                resumed_from,
+                stats,
+                runtime,
+            } => {
+                assert_eq!(resumed_from, Some(w));
+                assert_eq!(&stats, twin.stats(), "replay reproduces the twin's stats");
+                assert_eq!(runtime, twin.now().since_epoch());
+            }
+            other => panic!("crash run should resume identical, got {other:?}"),
         }
     }
 }

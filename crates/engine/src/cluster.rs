@@ -227,13 +227,6 @@ impl Cluster {
         }
     }
 
-    /// Removes a block from every worker (e.g. when superseded).
-    pub fn remove_everywhere(&mut self, key: &BlockKey) {
-        for w in &mut self.workers {
-            w.blocks.remove(key);
-        }
-    }
-
     /// Builds a summary of all cached blocks on alive workers.
     pub fn snapshot(&self) -> BlockStoreSnapshot {
         let mut snap = BlockStoreSnapshot {
@@ -255,15 +248,6 @@ impl Cluster {
         }
         snap.blocks.sort_by_key(|(w, k, _)| (*w, *k));
         snap
-    }
-
-    /// Total cache memory across alive workers, in virtual bytes.
-    pub fn total_cache_capacity(&self) -> u64 {
-        self.workers
-            .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.blocks.mem_capacity())
-            .sum()
     }
 
     /// Returns all workers (alive and dead), for accounting.

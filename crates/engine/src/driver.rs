@@ -264,26 +264,6 @@ impl DriverConfigBuilder {
         self
     }
 
-    /// Transient-store read retries before an action fails with
-    /// [`EngineError::StoreUnavailable`] (shorthand for adjusting
-    /// `store_retry.budget`).
-    pub fn store_retry_limit(mut self, retries: u64) -> Self {
-        self.cfg.store_retry.budget = retries;
-        self
-    }
-
-    /// First store-retry backoff (doubles per attempt).
-    pub fn store_backoff_base(mut self, base: SimDuration) -> Self {
-        self.cfg.store_retry.backoff_base = base;
-        self
-    }
-
-    /// Ceiling on the store-retry backoff.
-    pub fn store_backoff_cap(mut self, cap: SimDuration) -> Self {
-        self.cfg.store_retry.backoff_cap = cap;
-        self
-    }
-
     /// Suspend the run once this many waves have committed (see
     /// [`DriverConfig::suspend_after_waves`]).
     pub fn suspend_after_waves(mut self, waves: u64) -> Self {
@@ -540,24 +520,11 @@ impl Driver {
         self.stats = RunStats::default();
     }
 
-    /// Sets the session tag naming this run's manifest key in the
-    /// durable store (`manifest/<tag>`). A run that may suspend and its
-    /// resume replay must agree on the tag.
-    pub fn set_session(&mut self, tag: impl Into<String>) {
-        self.session = tag.into();
-    }
-
     /// The committed-wave frontier so far: scheduler advances that
     /// landed at least one task commit. Deterministic across
     /// `host_threads`, so it is the [`RunManifest`] notion of progress.
     pub fn waves_committed(&self) -> u64 {
         self.waves_committed
-    }
-
-    /// Snapshots the current run state as a [`RunManifest`] — exactly
-    /// what a suspension persists to the durable store.
-    pub fn manifest(&self) -> RunManifest {
-        self.build_manifest()
     }
 
     /// Arms a resume replay against `manifest`.
@@ -734,12 +701,6 @@ impl Driver {
                 .iter()
                 .filter(|r| matches!(r.key, TaskKey::Ckpt(_)))
                 .count()
-    }
-
-    /// Runs checkpoint garbage collection, returning deleted objects.
-    pub fn gc_checkpoints(&mut self) -> usize {
-        let now = self.clock.now();
-        self.ckpt.gc(self.ctx.lineage(), now)
     }
 
     // ------------------------------------------------------------------
@@ -1337,6 +1298,18 @@ impl Driver {
             }
         }
         Some(least_loaded)
+    }
+
+    /// Replaces the failure injector and the suspension wave of a
+    /// freshly built driver — the worker-fault half of a chaos session
+    /// (see [`crate::run_chaos`]).
+    pub(crate) fn install_faults(
+        &mut self,
+        injector: Box<dyn FailureInjector>,
+        suspend_after_waves: Option<u64>,
+    ) {
+        self.injector = injector;
+        self.config.suspend_after_waves = suspend_after_waves;
     }
 
     /// Attaches the shared trace handle; the driver emits all engine

@@ -122,6 +122,25 @@ pub struct NoCheckpoint;
 
 impl CheckpointHooks for NoCheckpoint {}
 
+/// The eager policy: checkpoint every RDD the moment it materializes.
+/// Real deployments use the adaptive τ policy; chaos campaigns and the
+/// resume suites use this one to push maximum traffic through a
+/// degraded store and to give run manifests a non-trivial block catalog.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct EagerCheckpoint;
+
+impl CheckpointHooks for EagerCheckpoint {
+    fn on_rdd_materialized(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        rdd: RddId,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        vec![CheckpointDirective::Checkpoint(rdd)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

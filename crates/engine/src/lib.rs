@@ -67,7 +67,9 @@ pub use backend::{
     ShuffleTransport, TransientVmBackend,
 };
 pub use block::{BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot};
-pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
+pub use chaos::{
+    run_chaos, ChaosConfig, ChaosInjector, ChaosOutcome, ChaosSchedule, ChaosStoreFaults,
+};
 pub use checkpoint::{
     checkpoint_key, wire_size, CheckpointStore, HealthyStore, ReadFault, StoreFaultPolicy,
     WriteFault,
@@ -82,7 +84,7 @@ pub use cost::CostModel;
 pub use dataset::{Dataset, Datum, DenseVector};
 pub use driver::{Driver, DriverConfig, DriverConfigBuilder, RetryPolicy};
 pub use error::{EngineError, Result};
-pub use hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
+pub use hooks::{CheckpointDirective, CheckpointHooks, EagerCheckpoint, LineageView, NoCheckpoint};
 pub use injector::{FailureInjector, NoFailures, ScriptedInjector, WorkerEvent};
 pub use lineage::Lineage;
 pub use manifest::{ManifestError, RunManifest};

@@ -144,11 +144,6 @@ impl<T> DurableStore<T> {
         &self.cfg
     }
 
-    /// Replaces the bandwidth/replication model (for experiments).
-    pub fn set_config(&mut self, cfg: StorageConfig) {
-        self.cfg = cfg;
-    }
-
     fn integrate_to(&mut self, now: SimTime) {
         if now > self.last_update {
             let dt = (now - self.last_update).as_millis() as f64;

@@ -186,8 +186,6 @@ pub struct MetricsAggregator {
     pub backoffs_scheduled: u64,
     /// Flapping workers quarantined.
     pub workers_quarantined: u64,
-    /// Markets placed in a cooldown exclusion window.
-    pub market_cooldowns: u64,
     /// Portfolio weight decisions emitted by the mean-variance policy.
     pub portfolio_weights: u64,
     /// Cluster-MTTF re-fits under an age-dependent hazard model.
@@ -355,7 +353,6 @@ impl MetricsAggregator {
             EventKind::RestoreFallback { .. } => self.restore_fallbacks += 1,
             EventKind::BackoffScheduled { .. } => self.backoffs_scheduled += 1,
             EventKind::WorkerQuarantined { .. } => self.workers_quarantined += 1,
-            EventKind::MarketCooledDown { .. } => self.market_cooldowns += 1,
             EventKind::PortfolioWeight { .. } => self.portfolio_weights += 1,
             EventKind::HazardRefit { .. } => self.hazard_refits += 1,
             EventKind::BackendSelected { backend, workers } => {
@@ -538,7 +535,6 @@ impl fmt::Display for MetricsAggregator {
             row(f, "restore fallbacks", self.restore_fallbacks)?;
             row(f, "backoffs scheduled", self.backoffs_scheduled)?;
             row(f, "workers quarantined", self.workers_quarantined)?;
-            row(f, "market cooldowns", self.market_cooldowns)?;
         }
         if self.breakers_opened > 0 || self.backstop_rounds > 0 || self.runs_resumed > 0 {
             writeln!(f, "degradation:")?;

@@ -227,9 +227,6 @@ event_kinds! {
     /// A flapping worker exceeded the remove-rate threshold and was
     /// quarantined: future Adds for this ext id are ignored.
     WorkerQuarantined { ext: u64, removes: u64 },
-    /// A failed/spiking market entered its cooldown exclusion window
-    /// and will not receive replacement requests until `until_ms`.
-    MarketCooledDown { market: u64, until_ms: u64 },
 
     // ── backend lifecycle and per-invocation billing ───────────────
     /// The run selected an execution backend at launch. `backend` is
@@ -628,10 +625,6 @@ mod tests {
             EventKind::WorkerQuarantined {
                 ext: 17,
                 removes: 3,
-            },
-            EventKind::MarketCooledDown {
-                market: 4,
-                until_ms: 7_200_000,
             },
             EventKind::BackendSelected {
                 backend: "serverless".into(),

@@ -90,13 +90,6 @@ impl TraceHandle {
         Self::default()
     }
 
-    /// A handle with one initial sink attached.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
-        let h = Self::default();
-        h.add_sink(sink);
-        h
-    }
-
     /// Whether any sink is attached (i.e. whether emits do work).
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)

@@ -14,17 +14,18 @@ use std::process::ExitCode;
 
 use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode};
 use flint::engine::{
-    ChaosConfig, ChaosInjector, ChaosSchedule, Driver, DriverConfig, EngineError, NoCheckpoint,
-    RunManifest, ScriptedInjector, ServerlessConfig, WorkerEvent, WorkerSpec,
+    run_chaos, ChaosConfig, ChaosOutcome, ChaosSchedule, CheckpointHooks, Driver, DriverConfig,
+    EagerCheckpoint, EngineError, NoCheckpoint, NoFailures, RunManifest, ScriptedInjector,
+    ServerlessConfig, WorkerEvent, WorkerSpec,
 };
-use flint::market::{correlated_groups, correlation_matrix, MarketCatalog};
+use flint::market::MarketCatalog;
 use flint::model::{
     fan_out, run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind,
 };
 use flint::runner::run_on_flint;
 use flint::simtime::{SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
-use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig};
+use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig, WorkloadSummary};
 
 /// Exit codes beyond plain success/failure, so callers can tell the
 /// degradation outcomes apart: `3` = the run completed correctly but
@@ -218,6 +219,10 @@ fn parse_workload(name: &str, flags: &HashMap<String, String>) -> Option<Box<dyn
         iterations: flag_u(flags, "iterations", 5) as u32,
         seed: flag_u(flags, "seed", 42),
     };
+    make_workload(name, cfg)
+}
+
+fn make_workload(name: &str, cfg: WorkloadConfig) -> Option<Box<dyn Workload>> {
     match name {
         "pagerank" => Some(Box::new(PageRank::new(cfg))),
         "kmeans" => Some(Box::new(KMeans::new(cfg))),
@@ -434,6 +439,22 @@ fn cmd_run_degraded(
     }
 }
 
+/// Runs `wl` with no faults and no checkpoints on `workers` r3.large
+/// workers (ext ids `1..=workers`), returning the reference result and
+/// virtual makespan that faulted runs are measured against.
+fn fault_free_run(
+    wl: &dyn Workload,
+    cfg: &DriverConfig,
+    workers: u64,
+) -> (WorkloadSummary, SimDuration) {
+    let mut d = Driver::new(cfg.clone(), Box::new(NoCheckpoint), Box::new(NoFailures));
+    for ext in 1..=workers {
+        d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+    }
+    let summary = wl.run(&mut d).expect("fault-free run");
+    (summary, d.now().since_epoch())
+}
+
 fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     let Some(name) = args.get(1) else {
         eprintln!("workload: missing name");
@@ -451,18 +472,7 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     // Time the failure-free run first so failures can strike mid-job.
     let mut driver_cfg = DriverConfig::default();
     driver_cfg.cost.size_scale = wl.recommended_size_scale();
-    let baseline = {
-        let mut d = Driver::new(
-            driver_cfg.clone(),
-            Box::new(NoCheckpoint),
-            Box::new(flint::engine::NoFailures),
-        );
-        for _ in 0..workers {
-            d.add_worker(WorkerSpec::r3_large());
-        }
-        wl.run(&mut d).expect("baseline run");
-        d.now().since_epoch()
-    };
+    let (_, baseline) = fault_free_run(wl.as_ref(), &driver_cfg, workers);
 
     let mut events = Vec::new();
     let strike = SimTime::ZERO + baseline / 2;
@@ -476,7 +486,7 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
             },
         ));
     }
-    let hooks: Box<dyn flint::engine::CheckpointHooks> = if checkpoint {
+    let hooks: Box<dyn CheckpointHooks> = if checkpoint {
         Box::new(FlintCheckpointPolicy::with_mttf(mttf))
     } else {
         Box::new(NoCheckpoint)
@@ -737,61 +747,12 @@ impl FaultPairing {
     }
 }
 
-/// Builds correlated ext-id groups for mass revocations by grouping the
-/// catalog's spot markets on their spike correlation and assigning base
-/// workers to markets round-robin — the chaos analogue of the paper's
-/// observation that servers in correlated markets fail together.
-fn correlated_ext_groups(seed: u64, workers: u32) -> Vec<Vec<u64>> {
-    let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
-    let spot = catalog.spot_markets();
-    if spot.is_empty() {
-        return Vec::new();
-    }
-    let traces: Vec<_> = spot.iter().map(|m| &m.trace).collect();
-    let corr = correlation_matrix(
-        &traces,
-        SimTime::ZERO,
-        SimTime::ZERO + SimDuration::from_days(30),
-        SimDuration::from_mins(10),
-        2.0,
-    );
-    correlated_groups(&corr, 0.25)
-        .into_iter()
-        .map(|group| {
-            (1..=u64::from(workers))
-                .filter(|ext| group.contains(&(((ext - 1) as usize) % spot.len())))
-                .collect::<Vec<u64>>()
-        })
-        .filter(|g| !g.is_empty())
-        .collect()
-}
-
-/// Chaos-mode checkpoint policy: checkpoint every RDD the moment it
-/// materializes. Real deployments use the adaptive τ policy; chaos
-/// campaigns want maximum traffic through the degraded store so torn
-/// writes, lost writes, and outage-window reads all get exercised.
-struct CkptEveryRdd;
-
-impl flint::engine::CheckpointHooks for CkptEveryRdd {
-    fn on_rdd_materialized(
-        &mut self,
-        _view: &flint::engine::LineageView<'_>,
-        _events: &mut dyn flint::engine::EventSink,
-        rdd: flint::engine::RddId,
-        _now: SimTime,
-    ) -> Vec<flint::engine::CheckpointDirective> {
-        vec![flint::engine::CheckpointDirective::Checkpoint(rdd)]
-    }
-}
-
 fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     let seed = flag_u(flags, "seed", 42);
     let runs = flag_u(flags, "runs", 3).max(1);
     let jobs = flag_u(flags, "jobs", 1).max(1) as usize;
     let workers = flag_u(flags, "workers", 4).max(1) as u32;
     let faults = flags.get("faults").map(String::as_str).unwrap_or("all");
-    let enabled: Vec<&str> = faults.split(',').map(str::trim).collect();
-    let has = |k: &str| faults == "all" || enabled.contains(&k);
     let mttf = SimDuration::from_hours_f64(flag_f64(flags, "mttf", 1.0));
 
     let name = flags
@@ -804,46 +765,36 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         iterations: flag_u(flags, "iterations", 3) as u32,
         seed: flag_u(flags, "wl-seed", 1),
     };
-    // Workloads are not shareable across threads; each parallel run
-    // rebuilds its own instance from the (copyable) name + config.
-    let make_wl = |name: &str| -> Option<Box<dyn Workload>> {
-        match name {
-            "pagerank" => Some(Box::new(PageRank::new(wl_cfg))),
-            "kmeans" => Some(Box::new(KMeans::new(wl_cfg))),
-            "als" => Some(Box::new(Als::new(wl_cfg))),
-            "tpch" => Some(Box::new(Tpch::new(wl_cfg))),
-            _ => None,
-        }
-    };
-    let Some(wl) = make_wl(name) else {
+    let Some(wl) = make_workload(name, wl_cfg) else {
         eprintln!("unknown workload: {name}");
         return ExitCode::FAILURE;
     };
+    let ckpt_kind = flags.get("ckpt").map(String::as_str).unwrap_or("eager");
+    if !matches!(ckpt_kind, "eager" | "adaptive" | "none") {
+        eprintln!("unknown ckpt policy: {ckpt_kind} (expected eager|adaptive|none)");
+        return ExitCode::FAILURE;
+    }
+    // Every per-run trace file is created up front, so an unwritable
+    // path is an I/O error before any run starts, not a run verdict.
+    let trace_paths: Vec<Option<String>> = (0..runs)
+        .map(|r| match flags.get("trace") {
+            Some(p) if runs > 1 => Some(format!("{p}.run{r}")),
+            p => p.cloned(),
+        })
+        .collect();
+    for path in trace_paths.iter().flatten() {
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("could not create {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
 
     // The fault-free twin: its digest is the ground truth every chaos
     // run must reproduce, and its runtime sizes the fault horizon so
     // faults strike mid-job rather than after completion.
     let mut driver_cfg = DriverConfig::default();
     driver_cfg.cost.size_scale = wl.recommended_size_scale();
-    let (expect, baseline) = {
-        let mut d = Driver::new(
-            driver_cfg.clone(),
-            Box::new(NoCheckpoint),
-            Box::new(flint::engine::NoFailures),
-        );
-        for ext in 1..=u64::from(workers) {
-            d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-        }
-        let s = wl.run(&mut d).expect("fault-free twin run");
-        (s, d.now().since_epoch())
-    };
-
-    let groups = if has("mass") {
-        correlated_ext_groups(seed, workers)
-    } else {
-        Vec::new()
-    };
-
+    let (expect, baseline) = fault_free_run(wl.as_ref(), &driver_cfg, u64::from(workers));
     println!(
         "chaos campaign: seed {seed}, {runs} run(s), faults [{faults}], \
          workload {name}"
@@ -853,20 +804,16 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         expect.checksum, expect.records
     );
 
-    // Validate flags that used to fail mid-loop before fanning out.
-    let ckpt_kind = flags.get("ckpt").map(String::as_str).unwrap_or("eager");
-    if !matches!(ckpt_kind, "eager" | "adaptive" | "none") {
-        eprintln!("unknown ckpt policy: {ckpt_kind} (expected eager|adaptive|none)");
-        return ExitCode::FAILURE;
+    let mut base = ChaosConfig::for_fault_kinds(seed, faults, workers);
+    base.horizon = baseline.max(SimDuration::from_mins(1));
+    base.revocations = flag_u(flags, "revocations", u64::from(base.revocations)) as u32;
+    if base.driver_crash_prob > 0.0 {
+        base.driver_crash_prob = flag_f64(flags, "crash-prob", base.driver_crash_prob);
+        base.driver_crash_wave_max =
+            flag_u(flags, "crash-wave-max", base.driver_crash_wave_max).max(1);
     }
-
-    /// How one chaos run ended, for the survival tally. `Degraded` is
-    /// byte-identical survival that went through the crash-resume path.
-    enum RunClass {
-        Survived,
-        Degraded,
-        Typed,
-        Violation,
+    if base.market_collapse_prob > 0.0 {
+        base.market_collapse_prob = flag_f64(flags, "collapse-prob", base.market_collapse_prob);
     }
 
     // Each run is self-contained (own seed, own workload instance, own
@@ -875,219 +822,97 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     // per-run trace files are byte-identical to a sequential campaign.
     let run_ids: Vec<u64> = (0..runs).collect();
     let outcomes = fan_out(jobs, &run_ids, |&r| {
-        let run_seed = seed.wrapping_add(r);
-        let mut ccfg = ChaosConfig::new(run_seed);
-        ccfg.n_workers = workers;
-        ccfg.horizon = baseline.max(SimDuration::from_mins(1));
-        ccfg.groups.clone_from(&groups);
-        if !has("revoke") && !has("mass") && !has("flap") {
-            ccfg.revocations = 0;
-        }
-        if !has("mass") {
-            ccfg.mass_revoke_prob = 0.0;
-        }
-        if !has("flap") {
-            ccfg.flap_prob = 0.0;
-        }
-        if !has("delay") {
-            ccfg.delayed_frac = 0.0;
-        }
-        if !has("store") {
-            ccfg.torn_write_prob = 0.0;
-            ccfg.failed_write_prob = 0.0;
-            ccfg.outages = 0;
-        }
-        ccfg.revocations = flag_u(flags, "revocations", u64::from(ccfg.revocations)) as u32;
-        // The crash/collapse kinds arm only when named explicitly: they
-        // change the campaign's shape (runs suspend and replay through
-        // `Driver::resume` mid-flight), so `all` keeps its historical
-        // meaning of every in-run fault kind.
-        if enabled.contains(&"driver-crash") {
-            ccfg.driver_crash_prob = flag_f64(flags, "crash-prob", 0.5);
-            ccfg.driver_crash_wave_max = flag_u(flags, "crash-wave-max", 8).max(1);
-        }
-        if enabled.contains(&"market-collapse") {
-            ccfg.market_collapse_prob = flag_f64(flags, "collapse-prob", 0.5);
-        }
-
+        let ccfg = ChaosConfig {
+            seed: seed.wrapping_add(r),
+            ..base.clone()
+        };
         let schedule = ChaosSchedule::generate(&ccfg);
-        let crash_wave = schedule.driver_crash_wave;
         let collapsed = schedule
             .notes
             .iter()
             .any(|(_, k, _)| k == "market_collapse");
-
-        let trace_path = flags.get("trace").map(|p| {
-            if runs > 1 {
-                format!("{p}.run{r}")
-            } else {
-                p.clone()
-            }
-        });
-        // Sinks attach per session: a crashed session's partial trace is
-        // discarded and the file re-created for the resumed session, so
-        // the file always holds one complete, monotonic event stream.
-        let open_sink = |tr: &TraceHandle| -> Result<(), String> {
-            if let Some(path) = &trace_path {
-                match std::fs::File::create(path) {
-                    Ok(f) => {
-                        tr.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f))));
-                        Ok(())
-                    }
-                    Err(e) => Err(format!("could not create {path}: {e}")),
-                }
-            } else {
-                Ok(())
-            }
-        };
-        let wl = make_wl(name).expect("workload validated before fan-out");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let build = |suspend: Option<u64>, tr: &TraceHandle| {
-                let mut cfg = driver_cfg.clone();
-                cfg.suspend_after_waves = suspend;
-                let hooks: Box<dyn flint::engine::CheckpointHooks> = match ckpt_kind {
-                    "eager" => Box::new(CkptEveryRdd),
-                    "adaptive" => Box::new(FlintCheckpointPolicy::with_mttf(mttf)),
-                    _ => Box::new(NoCheckpoint),
-                };
-                let mut d = Driver::new(
-                    cfg,
-                    hooks,
-                    Box::new(ChaosInjector::from_schedule(schedule.clone())),
-                );
-                d.set_trace(tr.clone());
-                d.checkpoints_mut()
-                    .set_fault_policy(Box::new(schedule.store_faults(&ccfg)));
-                for ext in 1..=u64::from(workers) {
-                    d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-                }
-                d
+        let trace_path = &trace_paths[r as usize];
+        // Workloads are not shareable across threads; each parallel run
+        // rebuilds its own instance from the (copyable) name + config.
+        let wl = make_workload(name, wl_cfg).expect("workload validated before fan-out");
+        // Each session re-creates the trace file: a crashed session's
+        // partial trace is discarded, so the file always holds one
+        // complete, monotonic event stream.
+        let build = || {
+            let hooks: Box<dyn CheckpointHooks> = match ckpt_kind {
+                "eager" => Box::new(EagerCheckpoint),
+                "adaptive" => Box::new(FlintCheckpointPolicy::with_mttf(mttf)),
+                _ => Box::new(NoCheckpoint),
             };
-            // Returns (result, resumed-from wave): result carries the
-            // summary plus stats/runtime of whichever session completed.
-            let tr = TraceHandle::disabled();
-            if let Err(e) = open_sink(&tr) {
-                return (Err(e), None);
+            let mut d = Driver::new(driver_cfg.clone(), hooks, Box::new(NoFailures));
+            if let Some(path) = trace_path {
+                let f = std::fs::File::create(path).expect("trace path created before fan-out");
+                let trace = TraceHandle::disabled();
+                trace.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f))));
+                d.set_trace(trace);
             }
-            match crash_wave {
-                None => {
-                    let mut d = build(None, &tr);
-                    let res = wl
-                        .run(&mut d)
-                        .map(|s| (s, d.stats().clone(), d.now().since_epoch()))
-                        .map_err(|e| format!("{e}"));
-                    tr.flush();
-                    (res, None)
-                }
-                Some(w) => {
-                    // Session A runs doomed: killed at wave boundary w
-                    // (unless the job finishes first).
-                    let mut a = build(Some(w), &tr);
-                    match wl.run(&mut a) {
-                        Ok(s) => {
-                            let res = Ok((s, a.stats().clone(), a.now().since_epoch()));
-                            tr.flush();
-                            (res, None)
-                        }
-                        Err(EngineError::Suspended { manifest, .. }) => {
-                            let text = a.checkpoints().get_manifest(&manifest).map(str::to_string);
-                            // Release A's file handle before truncating
-                            // the path for the resumed session.
-                            drop(a);
-                            drop(tr);
-                            let Some(text) = text else {
-                                return (Err("suspended but no manifest persisted".into()), None);
-                            };
-                            let m = match RunManifest::decode(&text) {
-                                Ok(m) => m,
-                                Err(e) => return (Err(format!("manifest decode: {e}")), None),
-                            };
-                            let tb = TraceHandle::disabled();
-                            if let Err(e) = open_sink(&tb) {
-                                return (Err(e), None);
-                            }
-                            let mut b = build(None, &tb);
-                            if let Err(e) = b.resume(&m) {
-                                return (Err(format!("{e}")), None);
-                            }
-                            let res = wl
-                                .run(&mut b)
-                                .map(|s| (s, b.stats().clone(), b.now().since_epoch()))
-                                .map_err(|e| format!("{e}"));
-                            tb.flush();
-                            (res, Some(w))
-                        }
-                        Err(e) => {
-                            tr.flush();
-                            (Err(format!("{e}")), None)
-                        }
-                    }
-                }
+            for ext in 1..=u64::from(workers) {
+                d.add_worker_with_ext(ext, WorkerSpec::r3_large());
             }
-        }));
-
-        let (class, verdict) = match outcome {
-            Err(_) => (
-                RunClass::Violation,
-                format!("PANIC (seed {run_seed}) — invariant violated"),
-            ),
-            Ok((Ok((s, stats, runtime)), resumed)) => {
-                if s.checksum == expect.checksum && s.records == expect.records {
-                    let mut tags = String::new();
-                    if let Some(w) = resumed {
-                        tags.push_str(&format!(", resumed from wave {w}"));
-                    }
-                    if collapsed {
-                        tags.push_str(", market collapse");
-                    }
-                    let verdict = format!(
-                        "survived byte-identical ({:+.1}% runtime, {} restores, \
-                         {} revocations{tags})",
-                        (runtime.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0,
-                        stats.restores,
-                        stats.revocations
-                    );
-                    if resumed.is_some() {
-                        (RunClass::Degraded, verdict)
-                    } else {
-                        (RunClass::Survived, verdict)
-                    }
-                } else {
-                    (
-                        RunClass::Violation,
-                        format!(
-                            "WRONG DATA (checksum {:#018x} != {:#018x}) — invariant violated",
-                            s.checksum, expect.checksum
-                        ),
-                    )
-                }
-            }
-            Ok((Err(e), _)) => (RunClass::Typed, format!("typed error: {e}")),
+            d
         };
-        (class, verdict, trace_path)
+        let outcome = run_chaos(&schedule, &ccfg, build, |d| wl.run(d), &expect);
+        (outcome, collapsed)
     });
 
-    let mut survived = 0u64;
+    let mut identical = 0u64;
     let mut degraded = 0u64;
     let mut typed = 0u64;
     let mut violations = 0u64;
-    for (r, (class, verdict, trace_path)) in outcomes.into_iter().enumerate() {
-        match class {
-            RunClass::Survived => survived += 1,
-            RunClass::Degraded => degraded += 1,
-            RunClass::Typed => typed += 1,
-            RunClass::Violation => violations += 1,
-        }
+    for (r, (outcome, collapsed)) in outcomes.into_iter().enumerate() {
         let run_seed = seed.wrapping_add(r as u64);
+        let verdict = match outcome {
+            ChaosOutcome::Identical {
+                resumed_from,
+                stats,
+                runtime,
+            } => {
+                identical += 1;
+                let mut tags = String::new();
+                if let Some(w) = resumed_from {
+                    degraded += 1;
+                    tags.push_str(&format!(", resumed from wave {w}"));
+                }
+                if collapsed {
+                    tags.push_str(", market collapse");
+                }
+                format!(
+                    "survived byte-identical ({:+.1}% runtime, {} restores, \
+                     {} revocations{tags})",
+                    (runtime.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0,
+                    stats.restores,
+                    stats.revocations
+                )
+            }
+            ChaosOutcome::Typed(e) => {
+                typed += 1;
+                format!("typed error: {e}")
+            }
+            ChaosOutcome::WrongData(s) => {
+                violations += 1;
+                format!(
+                    "WRONG DATA (checksum {:#018x} != {:#018x}) — invariant violated",
+                    s.checksum, expect.checksum
+                )
+            }
+            ChaosOutcome::Panicked => {
+                violations += 1;
+                format!("PANIC (seed {run_seed}) — invariant violated")
+            }
+        };
         println!("run {r:>3} seed {run_seed:<8}: {verdict}");
-        if let Some(path) = &trace_path {
+        if let Some(path) = &trace_paths[r] {
             println!("              trace written to {path}");
         }
     }
     println!(
-        "survival      : {}/{runs} byte-identical ({degraded} via resume), \
-         {typed} typed error(s), {violations} violation(s)",
-        survived + degraded
+        "survival      : {identical}/{runs} byte-identical ({degraded} via resume), \
+         {typed} typed error(s), {violations} violation(s)"
     );
     if violations > 0 {
         ExitCode::from(EXIT_PANIC)

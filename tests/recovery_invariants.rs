@@ -7,9 +7,8 @@
 
 use flint::core::{FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode, SelectionConfig};
 use flint::engine::{
-    ChaosConfig, ChaosInjector, ChaosSchedule, CheckpointDirective, CheckpointHooks, Driver,
-    DriverConfig, EngineError, EventSink, LineageView, NoCheckpoint, RddId, RunManifest,
-    ScriptedInjector, Value, WorkerEvent, WorkerSpec,
+    run_chaos, ChaosConfig, ChaosOutcome, ChaosSchedule, Driver, DriverConfig, EagerCheckpoint,
+    EngineError, NoCheckpoint, NoFailures, ScriptedInjector, Value, WorkerEvent, WorkerSpec,
 };
 use flint::market::MarketCatalog;
 use flint::simtime::{SimDuration, SimTime};
@@ -108,106 +107,37 @@ fn parallel_recovery_matches_sequential() {
     assert_eq!(parallel.1, sequential.1, "run statistics diverged");
 }
 
-/// Chaos-mode checkpoint policy for tests: checkpoint every RDD as it
-/// materializes, maximizing traffic through the degraded store.
-struct EagerCkpt;
-
-impl CheckpointHooks for EagerCkpt {
-    fn on_rdd_materialized(
-        &mut self,
-        _view: &LineageView<'_>,
-        _events: &mut dyn EventSink,
-        rdd: RddId,
-        _now: SimTime,
-    ) -> Vec<CheckpointDirective> {
-        vec![CheckpointDirective::Checkpoint(rdd)]
-    }
-}
-
-/// The classified result of one seeded chaos run.
-enum ChaosOutcome {
-    /// Completed with output byte-identical to the fault-free run.
-    Identical,
-    /// Failed with a typed [`EngineError`] — acceptable under chaos.
-    Typed(#[allow(dead_code)] EngineError),
-    /// Completed with output differing from the fault-free run: an
-    /// invariant violation.
-    WrongData(String),
-    /// Panicked: an invariant violation.
-    Panicked,
-}
-
 fn golden_output(job_seed: i64) -> &'static Vec<Value> {
     static GOLDEN: std::sync::OnceLock<Vec<Value>> = std::sync::OnceLock::new();
     assert_eq!(job_seed, 23, "golden cache is keyed to one job seed");
     GOLDEN.get_or_init(|| run_job(&mut Driver::local(6), 23).unwrap())
 }
 
-/// Runs the standard job under the given chaos campaign — worker churn
-/// via [`ChaosInjector`], store degradation via the schedule's
-/// [`flint::engine::ChaosStoreFaults`] — and classifies the outcome
-/// against the headline invariant.
-fn chaos_outcome(ccfg: &ChaosConfig, job_seed: i64) -> ChaosOutcome {
-    let golden = golden_output(job_seed);
-    let schedule = ChaosSchedule::generate(ccfg);
-    let crash_wave = schedule.driver_crash_wave;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let build = |suspend: Option<u64>| {
-            let mut cfg = DriverConfig::default();
-            cfg.cost.size_scale = 5e5;
-            cfg.store_retry.budget = 4;
-            cfg.suspend_after_waves = suspend;
-            let mut d = Driver::new(
-                cfg,
-                Box::new(EagerCkpt),
-                Box::new(ChaosInjector::from_schedule(schedule.clone())),
-            );
-            d.checkpoints_mut()
-                .set_fault_policy(Box::new(schedule.store_faults(ccfg)));
-            for ext in 1..=u64::from(ccfg.n_workers) {
-                d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-            }
-            // A lifeline worker outside the chaos pool guarantees
-            // progress is at least possible; the store can still force
-            // typed errors.
-            d.add_worker_with_ext(999, WorkerSpec::r3_large());
-            d
-        };
-        let Some(w) = crash_wave else {
-            return run_job(&mut build(None), job_seed);
-        };
-        // Driver-crash fault: kill the first session at the drawn wave
-        // boundary, harvest the persisted manifest, and replay a fresh
-        // session through `Driver::resume` — which re-verifies the
-        // frontier against the manifest as it crosses it.
-        let mut a = build(Some(w));
-        match run_job(&mut a, job_seed) {
-            // The job finished (or failed) before the crash wave.
-            Ok(out) => Ok(out),
-            Err(EngineError::Suspended { manifest, .. }) => {
-                let text = a
-                    .checkpoints()
-                    .get_manifest(&manifest)
-                    .expect("suspension persists its manifest")
-                    .to_string();
-                let m = RunManifest::decode(&text).expect("manifest decodes");
-                let mut b = build(None);
-                b.resume(&m)?;
-                run_job(&mut b, job_seed)
-            }
-            Err(e) => Err(e),
+/// Runs the standard job under the given chaos campaign through the
+/// library runner — the same path `flint chaos` takes — with eager
+/// checkpoints maximizing traffic through the degraded store.
+fn chaos_run(ccfg: &ChaosConfig) -> ChaosOutcome<Vec<Value>> {
+    let build = || {
+        let mut cfg = DriverConfig::default();
+        cfg.cost.size_scale = 5e5;
+        cfg.store_retry.budget = 4;
+        let mut d = Driver::new(cfg, Box::new(EagerCheckpoint), Box::new(NoFailures));
+        for ext in 1..=u64::from(ccfg.n_workers) {
+            d.add_worker_with_ext(ext, WorkerSpec::r3_large());
         }
-    }));
-    match result {
-        Err(_) => ChaosOutcome::Panicked,
-        Ok(Err(e)) => ChaosOutcome::Typed(e),
-        Ok(Ok(out)) if &out == golden => ChaosOutcome::Identical,
-        Ok(Ok(out)) => ChaosOutcome::WrongData(format!(
-            "{} records vs {} in the fault-free run",
-            out.len(),
-            golden.len()
-        )),
-    }
+        // A lifeline worker outside the chaos pool guarantees progress
+        // is at least possible; the store can still force typed errors.
+        d.add_worker_with_ext(999, WorkerSpec::r3_large());
+        d
+    };
+    let schedule = ChaosSchedule::generate(ccfg);
+    run_chaos(
+        &schedule,
+        ccfg,
+        build,
+        |d| run_job(d, 23),
+        golden_output(23),
+    )
 }
 
 /// The headline robustness claim, stated as a campaign: 200 consecutive
@@ -224,13 +154,14 @@ fn chaos_campaign_200_seeds_byte_identical_or_typed() {
         let mut ccfg = ChaosConfig::new(seed);
         ccfg.n_workers = 6;
         ccfg.groups = vec![vec![1, 2, 3], vec![4, 5, 6]];
-        match chaos_outcome(&ccfg, 23) {
-            ChaosOutcome::Identical => identical += 1,
+        match chaos_run(&ccfg) {
+            ChaosOutcome::Identical { .. } => identical += 1,
             ChaosOutcome::Typed(_) => typed += 1,
-            ChaosOutcome::WrongData(msg) => panic!("seed {seed}: wrong data — {msg}"),
+            ChaosOutcome::WrongData(out) => panic!("seed {seed}: wrong data — {out:?}"),
             ChaosOutcome::Panicked => panic!("seed {seed}: chaos run panicked"),
         }
     }
+    println!("chaos campaign: {identical} identical, {typed} typed");
     assert_eq!(identical + typed, 200);
     assert!(
         identical > 100,
@@ -265,13 +196,17 @@ fn chaos_campaign_with_driver_crash_and_market_collapse() {
                 .iter()
                 .any(|(_, k, _)| k == "market_collapse"),
         );
-        match chaos_outcome(&ccfg, 23) {
-            ChaosOutcome::Identical => identical += 1,
+        match chaos_run(&ccfg) {
+            ChaosOutcome::Identical { .. } => identical += 1,
             ChaosOutcome::Typed(_) => typed += 1,
-            ChaosOutcome::WrongData(msg) => panic!("seed {seed}: wrong data — {msg}"),
+            ChaosOutcome::WrongData(out) => panic!("seed {seed}: wrong data — {out:?}"),
             ChaosOutcome::Panicked => panic!("seed {seed}: chaos run panicked"),
         }
     }
+    println!(
+        "crash/collapse campaign: {identical} identical, {typed} typed, \
+         {crashes} crashes, {collapses} collapses"
+    );
     assert_eq!(identical + typed, 200);
     assert!(
         crashes > 60 && collapses > 30,
@@ -281,6 +216,16 @@ fn chaos_campaign_with_driver_crash_and_market_collapse() {
         identical > 100,
         "most campaigns should survive (got {identical} identical, {typed} typed)"
     );
+}
+
+/// One revocation opens a market's breaker for an hour, so replacement
+/// rounds route around markets that just failed.
+fn routing_breakers() -> SelectionConfig {
+    SelectionConfig {
+        breaker_revocation_threshold: 1,
+        breaker_cooldown: SimDuration::from_hours(1),
+        ..SelectionConfig::default()
+    }
 }
 
 /// Runs the standard job on a [`FlintCluster`] over `catalog` with the
@@ -437,17 +382,17 @@ proptest! {
         ccfg.torn_write_prob = torn;
         ccfg.failed_write_prob = lost;
         ccfg.outages = outages;
-        match chaos_outcome(&ccfg, 23) {
-            ChaosOutcome::Identical => {}
+        match chaos_run(&ccfg) {
+            ChaosOutcome::Identical { .. } => {}
             ChaosOutcome::Typed(_) => {}
-            ChaosOutcome::WrongData(msg) => prop_assert!(false, "seed {}: {}", seed, msg),
+            ChaosOutcome::WrongData(out) => prop_assert!(false, "seed {}: {:?}", seed, out),
             ChaosOutcome::Panicked => prop_assert!(false, "seed {}: panicked", seed),
         }
     }
 
     /// Billing stays consistent under market-driven churn: after
     /// shutdown, the sum of `InstanceBilled` trace events equals the
-    /// `CostReport`'s compute cost, with the failure-cooldown window
+    /// `CostReport`'s compute cost, with hair-trigger market breakers
     /// active so replacement rounds route around failed markets.
     #[test]
     fn billed_events_match_cost_report_under_churn(seed in 0u64..500) {
@@ -457,10 +402,7 @@ proptest! {
         let config = FlintConfig::builder()
             .n_workers(4)
             .mode(Mode::Interactive)
-            .selection(SelectionConfig {
-                market_cooldown: SimDuration::from_hours(1),
-                ..SelectionConfig::default()
-            })
+            .selection(routing_breakers())
             .seed(seed)
             .trace(trace)
             .build();
@@ -496,10 +438,7 @@ proptest! {
             .n_workers(4)
             .mode(Mode::Portfolio)
             .risk_aversion(1.5)
-            .selection(SelectionConfig {
-                market_cooldown: SimDuration::from_hours(1),
-                ..SelectionConfig::default()
-            })
+            .selection(routing_breakers())
             .seed(seed)
             .trace(trace)
             .build();
