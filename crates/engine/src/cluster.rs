@@ -4,7 +4,9 @@ use std::collections::HashMap;
 
 use flint_simtime::SimTime;
 
-use crate::block::{BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot};
+use crate::block::{
+    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome,
+};
 
 /// Identifier of a worker slot within the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,17 +58,29 @@ pub struct Worker {
     pub ext_id: u64,
     /// Hardware shape.
     pub spec: WorkerSpec,
-    /// Whether the worker is currently alive.
-    pub alive: bool,
+    /// Whether the worker is currently alive. Private for the same
+    /// reason as `blocks`: only alive workers appear in the directory.
+    alive: bool,
     /// Per-core busy-until instants.
     pub cores_busy_until: Vec<SimTime>,
-    /// The worker's block store.
-    pub blocks: BlockManager,
+    /// The worker's block store. Private so block membership changes
+    /// only through [`Cluster`], which keeps its directory exact.
+    blocks: BlockManager,
     /// When the worker joined the cluster.
     pub joined_at: SimTime,
 }
 
 impl Worker {
+    /// The worker's block store, read-only (see [`Cluster::insert_block`]).
+    pub fn blocks(&self) -> &BlockManager {
+        &self.blocks
+    }
+
+    /// Whether the worker is currently alive.
+    pub fn is_alive(&self) -> bool {
+        self.alive
+    }
+
     /// Returns the earliest instant any core is free, no earlier than
     /// `now`.
     pub fn earliest_free(&self, now: SimTime) -> SimTime {
@@ -94,6 +108,12 @@ impl Worker {
 pub struct Cluster {
     workers: Vec<Worker>,
     ext_map: HashMap<u64, WorkerId>,
+    /// Block directory: every key resident on an alive worker, mapped
+    /// to its holders in ascending id order (usually one). Kept exact
+    /// at the only two places membership changes —
+    /// [`Cluster::insert_block`] and [`Cluster::remove_by_ext`] — so
+    /// [`Cluster::locate`] is one lookup instead of a scan.
+    dir: HashMap<BlockKey, Vec<WorkerId>>,
 }
 
 impl Cluster {
@@ -127,8 +147,55 @@ impl Cluster {
             return None;
         }
         w.alive = false;
+        let keys = w.blocks.keys();
         w.blocks.clear();
+        for k in keys {
+            self.unlist(id, k);
+        }
         Some(id)
+    }
+
+    /// Inserts a block into worker `wid`'s store (see
+    /// [`BlockManager::insert_traced`]) and updates the directory for
+    /// `key` and every block the insert dropped. Each is re-peeked rather
+    /// than inferred from the outcome: an oversized insert drops the new
+    /// copy but leaves an older one in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wid` is unknown.
+    pub fn insert_block(
+        &mut self,
+        wid: WorkerId,
+        key: BlockKey,
+        data: impl Into<BlockData>,
+        vbytes: u64,
+    ) -> InsertOutcome {
+        let w = &mut self.workers[wid.0 as usize];
+        let outcome = w.blocks.insert_traced(key, data, vbytes);
+        if w.alive {
+            for k in std::iter::once(key).chain(outcome.dropped.iter().map(|(k, _)| *k)) {
+                if self.workers[wid.0 as usize].blocks.peek(&k).is_some() {
+                    let holders = self.dir.entry(k).or_default();
+                    if let Err(i) = holders.binary_search(&wid) {
+                        holders.insert(i, wid);
+                    }
+                } else {
+                    self.unlist(wid, k);
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Drops `wid` from `key`'s directory entry.
+    fn unlist(&mut self, wid: WorkerId, key: BlockKey) {
+        if let Some(holders) = self.dir.get_mut(&key) {
+            holders.retain(|h| *h != wid);
+            if holders.is_empty() {
+                self.dir.remove(&key);
+            }
+        }
     }
 
     /// Resolves an external id to an engine id, if that worker is known.
@@ -168,17 +235,12 @@ impl Cluster {
         self.workers.iter().filter(|w| w.alive).count()
     }
 
-    /// Finds a block anywhere in the alive cluster.
+    /// Finds a block anywhere in the alive cluster: the lowest-id alive
+    /// holder, in one directory lookup.
     pub fn locate(&self, key: &BlockKey) -> Option<(WorkerId, BlockLocation, u64)> {
-        for w in &self.workers {
-            if !w.alive {
-                continue;
-            }
-            if let Some((loc, bytes)) = w.blocks.peek(key) {
-                return Some((w.id, loc, bytes));
-            }
-        }
-        None
+        let wid = *self.dir.get(key)?.first()?;
+        let (loc, bytes) = self.workers[wid.0 as usize].blocks.peek(key)?;
+        Some((wid, loc, bytes))
     }
 
     /// Fetches a block's data from anywhere in the alive cluster.
@@ -220,10 +282,8 @@ impl Cluster {
         key: &BlockKey,
         f: impl Fn(&BlockData) -> Option<BlockData>,
     ) {
-        for w in &mut self.workers {
-            if w.alive {
-                w.blocks.replace_payload(key, &f);
-            }
+        for wid in self.dir.get(key).into_iter().flatten() {
+            self.workers[wid.0 as usize].blocks.replace_payload(key, &f);
         }
     }
 
@@ -295,23 +355,26 @@ mod tests {
     fn revocation_drops_blocks() {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
-        c.worker_mut(a)
-            .blocks
-            .insert(key(0), Arc::new(vec![Value::Int(1)]), 10);
+        c.insert_block(a, key(0), Arc::new(vec![Value::Int(1)]), 10);
         assert!(c.locate(&key(0)).is_some());
         c.remove_by_ext(1);
         assert!(c.locate(&key(0)).is_none());
     }
 
     #[test]
-    fn locate_searches_all_alive_workers() {
+    fn locate_returns_lowest_alive_holder_from_directory() {
         let mut c = Cluster::new();
         let _a = c.add_worker(1, spec(), SimTime::ZERO);
         let b = c.add_worker(2, spec(), SimTime::ZERO);
-        c.worker_mut(b).blocks.insert(key(7), Arc::new(vec![]), 5);
+        let d = c.add_worker(3, spec(), SimTime::ZERO);
+        c.insert_block(d, key(7), Arc::new(vec![]), 6);
+        c.insert_block(b, key(7), Arc::new(vec![]), 5);
         let (wid, _, bytes) = c.locate(&key(7)).unwrap();
-        assert_eq!(wid, b);
-        assert_eq!(bytes, 5);
+        assert_eq!((wid, bytes), (b, 5));
+        // Losing the first holder falls through to the next one.
+        c.remove_by_ext(2);
+        let (wid, _, bytes) = c.locate(&key(7)).unwrap();
+        assert_eq!((wid, bytes), (d, 6));
     }
 
     #[test]
@@ -333,9 +396,7 @@ mod tests {
     fn peek_fetch_matches_fetch_without_lru_bump() {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
-        c.worker_mut(a)
-            .blocks
-            .insert(key(3), Arc::new(vec![Value::Int(7)]), 12);
+        c.insert_block(a, key(3), Arc::new(vec![Value::Int(7)]), 12);
         let (wid, data, loc, vb) = c.peek_fetch(&key(3)).unwrap();
         assert_eq!((wid, loc, vb), (a, crate::BlockLocation::Memory, 12));
         assert_eq!(data.len(), 1);
@@ -351,8 +412,8 @@ mod tests {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
         let b = c.add_worker(2, spec(), SimTime::ZERO);
-        c.worker_mut(a).blocks.insert(key(0), Arc::new(vec![]), 10);
-        c.worker_mut(b).blocks.insert(key(1), Arc::new(vec![]), 20);
+        c.insert_block(a, key(0), Arc::new(vec![]), 10);
+        c.insert_block(b, key(1), Arc::new(vec![]), 20);
         c.remove_by_ext(1);
         let snap = c.snapshot();
         assert_eq!(snap.mem_bytes, 20);

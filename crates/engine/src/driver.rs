@@ -896,6 +896,12 @@ impl Driver {
             self.poll_hooks();
 
             let (ready, done) = self.plan_ready(target);
+            #[cfg(test)]
+            assert_eq!(
+                (ready.clone(), done),
+                self.plan_ready_reference(target),
+                "planner diverged from the reference planner"
+            );
             if done {
                 return Ok(());
             }
@@ -1095,11 +1101,11 @@ impl Driver {
     // ------------------------------------------------------------------
 
     fn rdd_part_available(&self, rdd: RddId, part: u32) -> bool {
-        self.ckpt.readable(rdd, part, self.clock.now())
-            || self
-                .cluster
-                .locate(&BlockKey::RddPart { rdd, part })
-                .is_some()
+        // Directory first: the checkpoint probe formats a string key.
+        self.cluster
+            .locate(&BlockKey::RddPart { rdd, part })
+            .is_some()
+            || self.ckpt.readable(rdd, part, self.clock.now())
     }
 
     fn shuffle_block_available(&self, s: ShuffleId, mp: u32) -> bool {
@@ -1153,9 +1159,18 @@ impl Driver {
         }
     }
 
-    /// Collects missing shuffle inputs for computing `(rdd, part)`
-    /// through its narrow cone.
-    fn missing_deps(&self, rdd: RddId, part: u32, acc: &mut BTreeSet<(ShuffleId, u32)>) {
+    /// Collects the input shuffles that block computing `(rdd, part)`
+    /// through its narrow cone: those with at least one missing map
+    /// output. `missing` memoizes each shuffle's missing map parts for
+    /// one planning pass, so a shuffle is probed once, not once per
+    /// reduce partition.
+    fn missing_deps(
+        &self,
+        rdd: RddId,
+        part: u32,
+        missing: &mut HashMap<ShuffleId, Vec<u32>>,
+        blocked: &mut Vec<ShuffleId>,
+    ) {
         if self.rdd_part_available(rdd, part) {
             return;
         }
@@ -1164,7 +1179,7 @@ impl Driver {
             RddOp::Parallelize { .. } => {}
             RddOp::Union => {
                 let (p, pp) = self.ctx.lineage().union_source(rdd, part);
-                self.missing_deps(p, pp, acc);
+                self.missing_deps(p, pp, missing, blocked);
             }
             RddOp::Coalesce { group } => {
                 let parent = meta.parents[0];
@@ -1172,31 +1187,85 @@ impl Driver {
                 let lo = part * group;
                 let hi = (lo + group).min(n);
                 for pp in lo..hi {
-                    self.missing_deps(parent, pp, acc);
+                    self.missing_deps(parent, pp, missing, blocked);
                 }
             }
             op if op.is_shuffle() => {
                 for s in op.input_shuffles() {
-                    let parent = self.ctx.lineage().shuffle(s).parent;
-                    let m = self.ctx.lineage().meta(parent).num_partitions;
-                    for mp in 0..m {
-                        if !self.shuffle_block_available(s, mp) {
-                            acc.insert((s, mp));
-                        }
+                    let parts = missing.entry(s).or_insert_with(|| {
+                        let parent = self.ctx.lineage().shuffle(s).parent;
+                        let m = self.ctx.lineage().meta(parent).num_partitions;
+                        (0..m)
+                            .filter(|&mp| !self.shuffle_block_available(s, mp))
+                            .collect()
+                    });
+                    if !parts.is_empty() {
+                        blocked.push(s);
                     }
                 }
             }
             _ => {
                 // Narrow single-parent ops are partition-aligned.
                 let parent = meta.parents[0];
-                self.missing_deps(parent, part, acc);
+                self.missing_deps(parent, part, missing, blocked);
             }
         }
     }
 
     /// Returns the currently runnable tasks for `target`, and whether the
     /// target is fully available.
+    ///
+    /// A breadth-first walk from the target's missing partitions: a
+    /// task is ready when nothing blocks it, and otherwise the missing
+    /// map tasks of each blocking shuffle join the walk — once per
+    /// shuffle per pass, so no task is enqueued twice. One pass costs
+    /// O(P + ΣM) directory lookups for P target partitions and M map
+    /// outputs per reachable shuffle.
     fn plan_ready(&self, target: RddId) -> (Vec<TaskKey>, bool) {
+        let n = self.ctx.lineage().meta(target).num_partitions;
+        let mut queue: VecDeque<TaskKey> = (0..n)
+            .filter(|p| !self.rdd_part_available(target, *p))
+            .map(|part| TaskKey::Output { rdd: target, part })
+            .collect();
+        if queue.is_empty() {
+            return (Vec::new(), true);
+        }
+        let mut missing: HashMap<ShuffleId, Vec<u32>> = HashMap::new();
+        let mut expanded: HashSet<ShuffleId> = HashSet::new();
+        let mut blocked: Vec<ShuffleId> = Vec::new();
+        let mut ready: BTreeSet<TaskKey> = BTreeSet::new();
+        while let Some(task) = queue.pop_front() {
+            let (rdd, part) = match task {
+                TaskKey::Output { rdd, part } => (rdd, part),
+                TaskKey::ShuffleMap { shuffle, map_part } => {
+                    (self.ctx.lineage().shuffle(shuffle).parent, map_part)
+                }
+                TaskKey::Ckpt(_) => continue,
+            };
+            self.missing_deps(rdd, part, &mut missing, &mut blocked);
+            // A shuffle-map task for an *available* parent partition still
+            // needs to run (to produce the map output block); nothing
+            // blocks it by construction.
+            if blocked.is_empty() {
+                ready.insert(task);
+            }
+            for s in blocked.drain(..) {
+                if expanded.insert(s) {
+                    queue.extend(missing[&s].iter().map(|&mp| TaskKey::ShuffleMap {
+                        shuffle: s,
+                        map_part: mp,
+                    }));
+                }
+            }
+        }
+        (ready.into_iter().collect(), false)
+    }
+
+    /// The planner before the per-pass memo, kept as the oracle the
+    /// engine's unit tests check [`Driver::plan_ready`] against after
+    /// every scheduler-loop iteration.
+    #[cfg(test)]
+    fn plan_ready_reference(&self, target: RddId) -> (Vec<TaskKey>, bool) {
         let n = self.ctx.lineage().meta(target).num_partitions;
         let missing: Vec<u32> = (0..n)
             .filter(|p| !self.rdd_part_available(target, *p))
@@ -1222,7 +1291,7 @@ impl Driver {
                 TaskKey::Ckpt(_) => continue,
             };
             let mut deps = BTreeSet::new();
-            self.missing_deps(rdd, part, &mut deps);
+            self.missing_deps_reference(rdd, part, &mut deps);
             // A shuffle-map task for an *available* parent partition still
             // needs to run (to produce the map output block); its deps are
             // then empty by construction.
@@ -1238,6 +1307,48 @@ impl Driver {
             }
         }
         (ready.into_iter().collect(), false)
+    }
+
+    /// Collects missing shuffle inputs for computing `(rdd, part)`
+    /// through its narrow cone (the reference planner's probe).
+    #[cfg(test)]
+    fn missing_deps_reference(&self, rdd: RddId, part: u32, acc: &mut BTreeSet<(ShuffleId, u32)>) {
+        if self.rdd_part_available(rdd, part) {
+            return;
+        }
+        let meta = self.ctx.lineage().meta(rdd);
+        match &meta.op {
+            RddOp::Parallelize { .. } => {}
+            RddOp::Union => {
+                let (p, pp) = self.ctx.lineage().union_source(rdd, part);
+                self.missing_deps_reference(p, pp, acc);
+            }
+            RddOp::Coalesce { group } => {
+                let parent = meta.parents[0];
+                let n = self.ctx.lineage().meta(parent).num_partitions;
+                let lo = part * group;
+                let hi = (lo + group).min(n);
+                for pp in lo..hi {
+                    self.missing_deps_reference(parent, pp, acc);
+                }
+            }
+            op if op.is_shuffle() => {
+                for s in op.input_shuffles() {
+                    let parent = self.ctx.lineage().shuffle(s).parent;
+                    let m = self.ctx.lineage().meta(parent).num_partitions;
+                    for mp in 0..m {
+                        if !self.shuffle_block_available(s, mp) {
+                            acc.insert((s, mp));
+                        }
+                    }
+                }
+            }
+            _ => {
+                // Narrow single-parent ops are partition-aligned.
+                let parent = meta.parents[0];
+                self.missing_deps_reference(parent, part, acc);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1284,7 +1395,7 @@ impl Driver {
             .min_by_key(|w| (self.cluster.worker(*w).earliest_free(now), w.0))?;
         if let Some(p) = prefer {
             let pw = self.cluster.worker(p);
-            if pw.alive {
+            if pw.is_alive() {
                 // Delay scheduling (Spark-style bounded locality wait):
                 // prefer the data-local worker unless it is backed up well
                 // past the least-loaded one — then eat the network fetch
@@ -1448,10 +1559,10 @@ impl Driver {
                 CacheEffect::Touch(wid, bk) => self.cluster.touch(*wid, bk),
                 CacheEffect::TouchLocal(bk) => self.cluster.touch(worker, bk),
                 CacheEffect::Insert(bk, data, vb) => {
-                    let w = self.cluster.worker_mut(worker);
-                    if w.alive {
+                    let w = self.cluster.worker(worker);
+                    if w.is_alive() {
                         let ext = w.ext_id;
-                        let outcome = w.blocks.insert_traced(*bk, data.clone(), *vb);
+                        let outcome = self.cluster.insert_block(worker, *bk, data.clone(), *vb);
                         self.emit_cache(now, ext, *bk, *vb, &outcome);
                     }
                 }
@@ -1628,7 +1739,7 @@ impl Driver {
             // A shuffle snapshot is written by the worker holding the
             // map output block.
             CkptJob::Shuffle(..) => match out.source {
-                Some(w) if self.cluster.worker(w).alive => w,
+                Some(w) if self.cluster.worker(w).is_alive() => w,
                 _ => return false,
             },
         };
@@ -1788,12 +1899,9 @@ impl Driver {
                                 vbytes,
                             });
                     }
-                } else {
-                    let w = self.cluster.worker_mut(r.worker);
-                    if w.alive {
-                        let outcome = w.blocks.insert_traced(key, r.data, r.vbytes);
-                        self.emit_cache(now, ext, key, r.vbytes, &outcome);
-                    }
+                } else if self.cluster.worker(r.worker).is_alive() {
+                    let outcome = self.cluster.insert_block(r.worker, key, r.data, r.vbytes);
+                    self.emit_cache(now, ext, key, r.vbytes, &outcome);
                 }
                 if let BlockKey::RddPart { rdd, part } = key {
                     self.computed_once.insert((rdd, part));
@@ -2595,6 +2703,150 @@ mod tests {
                 assert_eq!(groups[1].as_list().unwrap().len(), 0);
             } else {
                 assert_eq!(groups[1].as_list().unwrap().len(), 1);
+            }
+        }
+    }
+
+    /// One step of a random lineage DAG for the planner-oracle property.
+    #[derive(Debug, Clone, Copy)]
+    enum PlanStep {
+        Map,
+        Filter,
+        Persist,
+        /// Union with the stage this many steps back (mod history).
+        Union(usize),
+        Coalesce(u32),
+        ReduceByKey(u32),
+        SortByKey(u32),
+        /// Join with a one-record-per-key table: a cogroup reading two
+        /// shuffles at once, without growing the data.
+        Join(u32),
+    }
+
+    fn plan_step() -> impl proptest::strategy::Strategy<Value = PlanStep> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(PlanStep::Map),
+            Just(PlanStep::Filter),
+            Just(PlanStep::Persist),
+            (0usize..4).prop_map(PlanStep::Union),
+            (1u32..5).prop_map(PlanStep::Coalesce),
+            (1u32..10).prop_map(PlanStep::ReduceByKey),
+            (1u32..10).prop_map(PlanStep::SortByKey),
+            (1u32..10).prop_map(PlanStep::Join),
+        ]
+    }
+
+    /// Builds the DAG — at most two wide steps, at least one (appended
+    /// if the steps drew none) — and collects it, sorted.
+    fn plan_dag_job(d: &mut Driver, parts: u32, steps: &[PlanStep]) -> Result<Vec<Value>> {
+        let src = d.ctx().parallelize(
+            (0..90).map(|i| Value::pair(Value::Int(i % 13), Value::Int(i))),
+            parts,
+        );
+        let mut history = vec![src];
+        let mut cur = src;
+        let mut shuffles = 0;
+        let reduce = |d: &mut Driver, r, p| {
+            d.ctx().reduce_by_key(r, p, |a, b| {
+                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
+            })
+        };
+        for step in steps {
+            cur = match *step {
+                PlanStep::Map => d.ctx().map(cur, |v| {
+                    let (k, x) = v.clone().into_pair().unwrap();
+                    Value::pair(Value::Int((k.as_i64().unwrap() + 5) % 11), x)
+                }),
+                PlanStep::Filter => d.ctx().filter(cur, |v| {
+                    v.key().and_then(Value::as_i64).is_none_or(|k| k % 4 != 1)
+                }),
+                PlanStep::Persist => d.ctx().persist(cur),
+                PlanStep::Union(back) => {
+                    let other = history[history.len() - 1 - back % history.len()];
+                    d.ctx().union(cur, other)
+                }
+                PlanStep::Join(p) if shuffles < 2 => {
+                    shuffles += 1;
+                    let table = d.ctx().parallelize(
+                        (0..13).map(|k| Value::pair(Value::Int(k), Value::Int(k * 7))),
+                        parts,
+                    );
+                    let joined = d.ctx().join(cur, table, p);
+                    d.ctx().map_values(joined, |vw| {
+                        let xy = vw.as_list().unwrap();
+                        Value::Int(xy[0].as_i64().unwrap() + xy[1].as_i64().unwrap())
+                    })
+                }
+                PlanStep::Coalesce(n) => d.ctx().coalesce(cur, n),
+                PlanStep::ReduceByKey(p) if shuffles < 2 => {
+                    shuffles += 1;
+                    reduce(d, cur, p)
+                }
+                PlanStep::SortByKey(p) if shuffles < 2 => {
+                    shuffles += 1;
+                    d.ctx().sort_by_key(cur, p, true)
+                }
+                PlanStep::ReduceByKey(_) | PlanStep::SortByKey(_) | PlanStep::Join(..) => cur,
+            };
+            history.push(cur);
+        }
+        if shuffles == 0 {
+            cur = reduce(d, cur, parts);
+        }
+        let mut out = d.collect(cur)?;
+        out.sort();
+        Ok(out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random lineage DAGs under chaos schedules with revocations,
+        /// replacements and store outages: every scheduler-loop
+        /// iteration checks the planner against the reference planner
+        /// (the `cfg(test)` assertion in `run_job`), including the
+        /// replanning passes after block loss. A divergence panics,
+        /// which `run_chaos` reports as `Panicked`.
+        #[test]
+        fn planner_matches_reference_under_chaos(
+            seed in 0u64..10_000,
+            parts in 1u32..10,
+            workers in 1u32..5,
+            steps in proptest::collection::vec(plan_step(), 1..8),
+        ) {
+            let build = || {
+                let mut cfg = DriverConfig::default();
+                cfg.cost.size_scale = 5e5;
+                cfg.store_retry.budget = 4;
+                let mut d = Driver::new(
+                    cfg,
+                    Box::new(crate::EagerCheckpoint),
+                    Box::new(NoFailures),
+                );
+                for ext in 1..=u64::from(workers) {
+                    d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+                }
+                d
+            };
+            let job = |d: &mut Driver| plan_dag_job(d, parts, &steps);
+            let mut twin = build();
+            let expect = job(&mut twin).expect("fault-free run completes");
+            // Faults land in the first quarter of the fault-free
+            // makespan, so the first revocation hits a live worker while
+            // the job still runs.
+            let mut ccfg = crate::ChaosConfig::for_fault_kinds(seed, "revoke,store", workers);
+            ccfg.horizon = SimDuration::from_millis(twin.now().since_epoch().as_millis() / 4);
+            ccfg.revocations = 4;
+            ccfg.outages = 2;
+            let schedule = crate::ChaosSchedule::generate(&ccfg);
+            match crate::run_chaos(&schedule, &ccfg, build, job, &expect) {
+                crate::ChaosOutcome::Identical { stats, .. } => {
+                    proptest::prop_assert!(stats.revocations > 0, "no revocation landed");
+                }
+                crate::ChaosOutcome::Typed(_) => {}
+                crate::ChaosOutcome::WrongData(out) => panic!("wrong data: {out:?}"),
+                crate::ChaosOutcome::Panicked => panic!("chaos run panicked"),
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Property tests of the block manager: capacity invariants hold under
-//! arbitrary insert/get/remove sequences, and the indexed LRU picks the
-//! exact victims the old linear scan picked.
+//! arbitrary insert/get/remove sequences, the indexed LRU picks the
+//! exact victims the old linear scan picked, and the cluster's block
+//! directory answers `locate` exactly as a scan of alive workers would.
 
-use flint_engine::{BlockKey, BlockManager, RddId};
+use flint_engine::{BlockKey, BlockManager, Cluster, RddId, ShuffleId, WorkerId, WorkerSpec};
+use flint_simtime::SimTime;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -322,5 +324,108 @@ impl LinearScanLru {
             return Some((flint_engine::BlockLocation::Disk, b.vbytes));
         }
         None
+    }
+}
+
+#[derive(Debug, Clone)]
+enum ClusterOp {
+    /// `insert_block(worker % n, key, vbytes)`.
+    Insert(usize, u32, u64),
+    /// An insert bigger than both tiers of every worker: refused, and
+    /// any older copy of the key must stay listed.
+    Oversized(usize, u32),
+    Touch(usize, u32),
+    AddWorker(u64, u64),
+    /// `remove_by_ext` of worker `% n` (a no-op if it is already dead).
+    Remove(usize),
+}
+
+fn arb_cluster_ops() -> impl Strategy<Value = Vec<ClusterOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (0usize..8, 0u32..KEYS, 1u64..150).prop_map(|(w, k, b)| ClusterOp::Insert(w, k, b)),
+            (0usize..8, 0u32..KEYS, 1u64..150).prop_map(|(w, k, b)| ClusterOp::Insert(w, k, b)),
+            (0usize..8, 0u32..KEYS, 1u64..150).prop_map(|(w, k, b)| ClusterOp::Insert(w, k, b)),
+            (0usize..8, 0u32..KEYS).prop_map(|(w, k)| ClusterOp::Oversized(w, k)),
+            (0usize..8, 0u32..KEYS).prop_map(|(w, k)| ClusterOp::Touch(w, k)),
+            (20u64..120, 20u64..120).prop_map(|(m, d)| ClusterOp::AddWorker(m, d)),
+            (0usize..8).prop_map(ClusterOp::Remove),
+        ],
+        0..100,
+    )
+}
+
+/// Size of the key universe: half RDD partitions, half shuffle outputs.
+const KEYS: u32 = 12;
+
+fn universe_key(i: u32) -> BlockKey {
+    if i.is_multiple_of(2) {
+        BlockKey::RddPart {
+            rdd: RddId(1),
+            part: i / 2,
+        }
+    } else {
+        BlockKey::ShuffleMap {
+            shuffle: ShuffleId(0),
+            map_part: i / 2,
+        }
+    }
+}
+
+fn tiny(mem: u64, disk: u64) -> WorkerSpec {
+    WorkerSpec {
+        cores: 1,
+        cache_mem_bytes: mem,
+        disk_bytes: disk,
+    }
+}
+
+/// `locate` as it was before the directory: the first alive worker, in
+/// id order, whose store holds the key.
+fn scan_locate(c: &Cluster, k: &BlockKey) -> Option<(WorkerId, flint_engine::BlockLocation, u64)> {
+    c.workers()
+        .iter()
+        .filter(|w| w.is_alive())
+        .find_map(|w| w.blocks().peek(k).map(|(loc, b)| (w.id, loc, b)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After every membership-changing or LRU-touching operation, the
+    /// directory-backed `locate` agrees with a linear scan of alive
+    /// workers for every key in the universe.
+    #[test]
+    fn directory_locate_matches_alive_scan(
+        caps in proptest::collection::vec((20u64..120, 20u64..120), 1..6),
+        ops in arb_cluster_ops(),
+    ) {
+        let mut c = Cluster::new();
+        let mut ids: Vec<WorkerId> = Vec::new();
+        for (m, d) in caps {
+            ids.push(c.add_worker(ids.len() as u64 + 1, tiny(m, d), SimTime::ZERO));
+        }
+        for op in ops {
+            match op {
+                ClusterOp::Insert(w, k, b) => {
+                    let _ = c.insert_block(ids[w % ids.len()], universe_key(k), Arc::new(vec![]), b);
+                }
+                ClusterOp::Oversized(w, k) => {
+                    let out = c.insert_block(ids[w % ids.len()], universe_key(k), Arc::new(vec![]), 1_000);
+                    prop_assert!(!out.stored);
+                }
+                ClusterOp::Touch(w, k) => c.touch(ids[w % ids.len()], &universe_key(k)),
+                ClusterOp::AddWorker(m, d) => {
+                    ids.push(c.add_worker(ids.len() as u64 + 1, tiny(m, d), SimTime::ZERO));
+                }
+                ClusterOp::Remove(w) => {
+                    let _ = c.remove_by_ext((w % ids.len()) as u64 + 1);
+                }
+            }
+            for k in 0..KEYS {
+                let k = universe_key(k);
+                prop_assert_eq!(c.locate(&k), scan_locate(&c, &k), "locate({})", k);
+            }
+        }
     }
 }
