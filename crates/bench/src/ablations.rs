@@ -569,7 +569,6 @@ pub fn ablation_backstop() -> Table {
                 selection.breaker_cooldown = SimDuration::from_hours(2);
                 selection.breaker_price_factor = 1.0;
                 selection.capacity_floor = 0.75;
-                selection.backstop = true;
             }
             let config = FlintConfig::builder()
                 .n_workers(8)

@@ -3,6 +3,7 @@
 
 use flint_market::{
     correlation_matrix, CloudSim, MarketCatalog, MarketId, TraceGenerator, TraceProfile, TtfStats,
+    CORRELATION_STEP, SPIKE_THRESHOLD,
 };
 use flint_simtime::{SimDuration, SimTime};
 
@@ -125,8 +126,8 @@ pub fn fig04_correlation() -> Table {
         &traces,
         SimTime::ZERO,
         SimTime::ZERO + SimDuration::from_days(days),
-        SimDuration::from_mins(10),
-        2.0,
+        CORRELATION_STEP,
+        SPIKE_THRESHOLD,
     );
 
     let mut headers: Vec<&str> = vec!["market"];

@@ -53,13 +53,10 @@ impl BackendSpec {
     }
 }
 
-/// Configuration of a [`FlintCluster`].
-///
-/// Construct through [`FlintConfig::builder`] — the supported path, kept
-/// stable as fields are added (struct-literal construction is
-/// deprecated-in-spirit and may break when this becomes
-/// `#[non_exhaustive]`).
+/// Configuration of a [`FlintCluster`], built through
+/// [`FlintConfig::builder`].
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct FlintConfig {
     /// Cluster size `N` (the paper's evaluation uses 10).
     pub n_workers: u32,

@@ -75,5 +75,5 @@ pub use report::CostReport;
 pub use selection::{
     expected_cost, expected_runtime_factor, harmonic_mttf, optimal_tau, runtime_variance,
     BatchSelection, InteractiveSelection, JobProfile, MarketView, OnDemandSelection,
-    PortfolioPolicy, SelectionConfig, SelectionPolicy, RISK_POLICY2,
+    PortfolioPolicy, SelectionConfig, SelectionPolicy, PRICE_WINDOW, RISK_POLICY2,
 };

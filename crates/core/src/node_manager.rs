@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::{
     harmonic_mttf, BidPolicy, FtSharedHandle, JobProfile, MarketView, SelectionConfig,
-    SelectionPolicy,
+    SelectionPolicy, PRICE_WINDOW,
 };
 
 /// Converts a market's instance shape into an engine worker spec
@@ -214,9 +214,10 @@ impl NmInner {
     /// The on-demand backstop: when active capacity (pending included)
     /// falls below `capacity_floor · n`, buy the deficit from the
     /// catalog's on-demand pool at the fixed catalog price. Runs after
-    /// each replacement batch; a no-op unless `cfg.backstop` is set.
+    /// each replacement batch; a no-op unless `cfg.capacity_floor` is
+    /// positive.
     fn backstop_check(&mut self, t: SimTime) {
-        if !self.cfg.backstop || self.cfg.capacity_floor <= 0.0 {
+        if self.cfg.capacity_floor <= 0.0 {
             return;
         }
         let floor = (self.cfg.capacity_floor * f64::from(self.n)).ceil() as usize;
@@ -305,7 +306,7 @@ impl NmInner {
                 .active_markets()
                 .map(|(mid, _)| {
                     let m = self.cloud.catalog().market(mid);
-                    m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf
+                    m.stats(now, PRICE_WINDOW, self.bid.bid_for(m)).mttf
                 })
                 .collect();
             harmonic_mttf(&mttfs)
@@ -331,7 +332,7 @@ impl NmInner {
             .active_markets()
             .map(|(mid, _)| {
                 let m = self.cloud.catalog().market(mid);
-                (mid, m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf)
+                (mid, m.stats(now, PRICE_WINDOW, self.bid.bid_for(m)).mttf)
             })
             .collect();
         let mut components: Vec<SimDuration> = Vec::new();
@@ -420,7 +421,7 @@ impl NmInner {
                 // When every transient market is excluded and the policy
                 // fell back to the fixed-price pool, the replacement *is*
                 // the on-demand backstop — record it as such.
-                if self.cfg.backstop && !alloc.is_empty() {
+                if self.cfg.capacity_floor > 0.0 && !alloc.is_empty() {
                     let cooled = self.cooled_markets();
                     let cat = self.cloud.catalog();
                     let od = cat.on_demand_id();
@@ -693,7 +694,6 @@ mod tests {
             breaker_revocation_threshold: 1,
             breaker_window: SimDuration::from_hours(2),
             breaker_cooldown: SimDuration::from_hours(6),
-            backstop: true,
             capacity_floor: 0.5,
             ..SelectionConfig::default()
         };
@@ -806,7 +806,6 @@ mod tests {
         let start = SimTime::ZERO + SimDuration::from_days(14);
         let ft = new_shared(SimDuration::MAX);
         let cfg = SelectionConfig {
-            backstop: true,
             capacity_floor: 0.75,
             ..SelectionConfig::default()
         };

@@ -2,8 +2,8 @@
 //! behind them (paper §3.1.2 and §3.2.2, Equations 1–4).
 
 use flint_market::{
-    correlation_matrix, greedy_uncorrelated_subset, HazardSpec, MarketCatalog, MarketId,
-    MarketStats,
+    correlation_matrix, greedy_uncorrelated_subset, CloudSim, HazardSpec, MarketCatalog, MarketId,
+    MarketStats, CORRELATION_STEP, MAX_CORRELATION, SPIKE_THRESHOLD,
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
@@ -117,30 +117,29 @@ pub fn runtime_variance(
     rate * e_u2 / (m_f * m_f)
 }
 
-/// Static configuration of the selection machinery.
+/// Backward-looking window for price statistics (the paper uses "a
+/// recent time window, e.g., the past week", §3.1.2).
+pub const PRICE_WINDOW: SimDuration = SimDuration::from_days(7);
+
+/// Reject markets whose instantaneous price exceeds the window mean by
+/// more than this fraction (§3.1.2 restoration policy, 10 %).
+const STABILITY_THRESHOLD: f64 = 0.10;
+
+/// The replacement/acquisition delay `rd` in Eq. 1–4: EC2's two
+/// minutes, the simulator's default acquisition delay.
+const RD: SimDuration = CloudSim::DEFAULT_ACQUISITION_DELAY;
+
+/// Static configuration of the selection machinery. The paper's fixed
+/// values are constants: [`PRICE_WINDOW`], the 10 % stability filter,
+/// `rd` = [`CloudSim::DEFAULT_ACQUISITION_DELAY`], and the
+/// [`MAX_CORRELATION`] cap on `L` estimated at [`CORRELATION_STEP`] and
+/// [`SPIKE_THRESHOLD`]. Candidates are always the markets selling the
+/// on-demand reference pool's instance shape, so expected costs compare
+/// per worker and diversification spans zones and pools, not sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SelectionConfig {
-    /// Backward-looking window for price statistics (the paper uses "a
-    /// recent time window, e.g., the past week").
-    pub window: SimDuration,
-    /// Reject markets whose instantaneous price exceeds the window mean
-    /// by more than this fraction (§3.1.2 restoration policy, 10 %).
-    pub stability_threshold: f64,
-    /// Maximum pairwise spike correlation admitted into the candidate
-    /// set `L` (§3.2.2).
-    pub max_correlation: f64,
     /// Cap on `|L|` (pruning the >1000-market search space).
     pub max_markets: usize,
-    /// Sampling step for correlation estimation.
-    pub correlation_step: SimDuration,
-    /// Spike threshold (multiple of mean price) for correlation.
-    pub spike_threshold: f64,
-    /// Replacement/acquisition delay `rd` (EC2: two minutes).
-    pub rd: SimDuration,
-    /// Restrict candidates to markets selling the same instance shape as
-    /// the on-demand reference pool, so expected costs are comparable
-    /// per worker (diversification then spans zones/pools, not sizes).
-    pub match_reference_spec: bool,
     /// Revocations within [`Self::breaker_window`] that trip a market's
     /// circuit breaker from closed to open. `0` (the default) disables
     /// breakers entirely, preserving pre-breaker behavior byte-for-byte.
@@ -161,16 +160,13 @@ pub struct SelectionConfig {
     /// bid above on-demand" boundary). `0.0` (the default) disables the
     /// price trigger.
     pub breaker_price_factor: f64,
-    /// Fraction of the target cluster size `n` below which the
-    /// on-demand backstop provisions fixed-price workers (requires
-    /// [`Self::backstop`]). `0.0` (the default) never triggers.
+    /// The on-demand backstop tier, on when positive: when capacity
+    /// falls below `capacity_floor · n` (`n` the target cluster size),
+    /// the node manager buys the deficit from the catalog's on-demand
+    /// pool at the fixed catalog price, so a market-wide collapse
+    /// degrades the job in cost, not correctness. `0.0` (the default)
+    /// turns the backstop off.
     pub capacity_floor: f64,
-    /// Enables the on-demand backstop tier: when capacity falls below
-    /// [`Self::capacity_floor`]`·n`, the node manager buys the deficit
-    /// from the catalog's on-demand pool at the fixed catalog price, so
-    /// a market-wide collapse degrades the job in cost, not
-    /// correctness. Off by default.
-    pub backstop: bool,
     /// The instance-lifetime hazard model the node manager assumes.
     /// The default ([`HazardSpec::Exponential`]) keeps the legacy
     /// memoryless pipeline — market-stats MTTF, age-blind τ, unscaled
@@ -183,20 +179,12 @@ pub struct SelectionConfig {
 impl Default for SelectionConfig {
     fn default() -> Self {
         SelectionConfig {
-            window: SimDuration::from_days(7),
-            stability_threshold: 0.10,
-            max_correlation: 0.25,
             max_markets: 6,
-            correlation_step: SimDuration::from_mins(10),
-            spike_threshold: 2.0,
-            rd: SimDuration::from_secs(120),
-            match_reference_spec: true,
             breaker_revocation_threshold: 0,
             breaker_window: SimDuration::from_hours(1),
             breaker_cooldown: SimDuration::from_mins(30),
             breaker_price_factor: 0.0,
             capacity_floor: 0.0,
-            backstop: false,
             hazard: HazardSpec::Exponential,
         }
     }
@@ -249,7 +237,7 @@ impl MarketView<'_> {
     /// Backward-looking statistics of `market` at the policy's bid.
     pub fn stats(&self, market: MarketId) -> MarketStats {
         let m = self.catalog.market(market);
-        m.stats(self.now, self.cfg.window, self.bid.bid_for(m))
+        m.stats(self.now, PRICE_WINDOW, self.bid.bid_for(m))
     }
 
     /// Estimated checkpoint write time δ with `n` parallel writers.
@@ -263,7 +251,7 @@ impl MarketView<'_> {
         let s = self.stats(market);
         let delta = self.delta();
         let tau = optimal_tau(delta, s.mttf);
-        expected_runtime_factor(delta, tau, s.mttf, self.cfg.rd, 1.0)
+        expected_runtime_factor(delta, tau, s.mttf, RD, 1.0)
     }
 
     /// Expected cost rate ($/server-hour) on a single market.
@@ -286,13 +274,10 @@ impl MarketView<'_> {
             .catalog
             .spot_markets()
             .iter()
-            .filter(|m| !self.cfg.match_reference_spec || m.spec == reference)
+            .filter(|m| m.spec == reference)
             .map(|m| m.id)
             .filter(|id| !self.cooled.contains(id))
-            .filter(|id| {
-                self.stats(*id)
-                    .price_is_stable(self.cfg.stability_threshold)
-            })
+            .filter(|id| self.stats(*id).price_is_stable(STABILITY_THRESHOLD))
             .collect();
         c.sort_by(|a, b| {
             self.cost_rate(*a)
@@ -312,10 +297,10 @@ impl MarketView<'_> {
             .collect();
         correlation_matrix(
             &traces,
-            self.now.saturating_sub(self.cfg.window),
+            self.now.saturating_sub(PRICE_WINDOW),
             self.now,
-            self.cfg.correlation_step,
-            self.cfg.spike_threshold,
+            CORRELATION_STEP,
+            SPIKE_THRESHOLD,
         )
     }
 }
@@ -429,7 +414,7 @@ fn uncorrelated_candidates(view: &MarketView<'_>) -> Vec<MarketId> {
         return Vec::new();
     }
     let corr = view.correlations(&cands);
-    greedy_uncorrelated_subset(&corr, view.cfg.max_correlation, view.cfg.max_markets)
+    greedy_uncorrelated_subset(&corr, MAX_CORRELATION, view.cfg.max_markets)
         .into_iter()
         .map(|i| cands[i])
         .collect()
@@ -443,7 +428,7 @@ fn variance_of(view: &MarketView<'_>, set: &[MarketId]) -> f64 {
         view.job.runtime_estimate,
         view.delta(),
         agg,
-        view.cfg.rd,
+        RD,
         set.len() as u32,
     )
 }
@@ -518,7 +503,7 @@ impl SelectionPolicy for InteractiveSelection {
             l = uncorrelated_candidates(view);
             self.last_l.clone_from(&l);
         }
-        let stable = |m: &MarketId| view.stats(*m).price_is_stable(view.cfg.stability_threshold);
+        let stable = |m: &MarketId| view.stats(*m).price_is_stable(STABILITY_THRESHOLD);
         // Prefer an unused stable market; failing that, re-enter the
         // lowest-cost stable market already in use (better than paying
         // on-demand); only with L exhausted fall back to on-demand.
@@ -640,7 +625,7 @@ impl PortfolioPolicy {
                     view.job.runtime_estimate,
                     view.delta(),
                     view.stats(*id).mttf,
-                    view.cfg.rd,
+                    RD,
                     1,
                 )
             })
@@ -907,7 +892,7 @@ mod tests {
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
                 assert!(
-                    corr[i][j].abs() <= cfg.max_correlation + 1e-9,
+                    corr[i][j].abs() <= MAX_CORRELATION + 1e-9,
                     "markets {i},{j} correlate at {}",
                     corr[i][j]
                 );

@@ -20,7 +20,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use flint_market::{correlated_groups, correlation_matrix, HazardSpec, MarketCatalog};
+use flint_market::{
+    correlated_groups, correlation_matrix, CloudSim, HazardSpec, MarketCatalog, CORRELATION_STEP,
+    MAX_CORRELATION, SPIKE_THRESHOLD,
+};
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -34,10 +37,31 @@ use crate::injector::{FailureInjector, ScriptedInjector, WorkerEvent};
 use crate::manifest::RunManifest;
 use crate::stats::RunStats;
 
+/// Add/Remove cycles per flapping worker.
+const FLAP_CYCLES: u32 = 3;
+/// Gap between flap transitions.
+const FLAP_GAP: SimDuration = SimDuration::from_secs(15);
+/// Lateness multiplier for delayed replacements.
+const DELAY_FACTOR: u64 = 8;
+/// Length of each store read-outage window.
+const OUTAGE_LEN: SimDuration = SimDuration::from_mins(5);
+/// MTTF parameter of an exponential `lifetime_hazard` (capped hazards
+/// carry their own parameters).
+const LIFETIME_MTTF: SimDuration = SimDuration::from_hours(1);
+/// How long a market collapse leaves the cluster empty before the
+/// recovery cohort arrives.
+const COLLAPSE_LEN: SimDuration = SimDuration::from_mins(10);
+
 /// Parameters of one seeded chaos campaign. Probabilities are per
 /// scheduled revocation event (or per write, for the store knobs);
 /// setting every rate to zero yields an empty schedule, which the
 /// golden-trace suite uses to prove chaos-off is a no-op.
+///
+/// Warnings lead revocations by [`CloudSim::EC2_WARNING`], and
+/// replacements arrive after [`CloudSim::DEFAULT_ACQUISITION_DELAY`]
+/// (eight times that when delayed). A flapping worker cycles three
+/// times, 15 s apart; store outages last five minutes; a market
+/// collapse leaves the cluster empty for ten minutes.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Campaign seed; every sub-stream derives from it.
@@ -52,8 +76,6 @@ pub struct ChaosConfig {
     pub revocations: u32,
     /// Fraction of revocations that skip the `Warn` (warning-less).
     pub unwarned_frac: f64,
-    /// Lead time of the warning when one is issued (EC2: 120 s).
-    pub warning_lead: SimDuration,
     /// Probability a revocation widens to its whole correlated group.
     pub mass_revoke_prob: f64,
     /// Correlated ext-id groups (from the market correlation model);
@@ -61,35 +83,22 @@ pub struct ChaosConfig {
     pub groups: Vec<Vec<u64>>,
     /// Probability a revoked worker flaps (rapid re-add/re-remove).
     pub flap_prob: f64,
-    /// Add/Remove cycles per flapping worker.
-    pub flap_cycles: u32,
-    /// Gap between flap transitions.
-    pub flap_gap: SimDuration,
     /// Whether revocations are followed by replacement `Add`s.
     pub replacements: bool,
-    /// Normal replacement acquisition delay.
-    pub replacement_delay: SimDuration,
     /// Fraction of replacements that arrive late.
     pub delayed_frac: f64,
-    /// Lateness multiplier for delayed replacements.
-    pub delay_factor: f64,
     /// Probability a checkpoint write lands torn (corrupt-on-read).
     pub torn_write_prob: f64,
     /// Probability a checkpoint write is lost outright.
     pub failed_write_prob: f64,
     /// Transient store read-outage windows across the horizon.
     pub outages: u32,
-    /// Length of each outage window.
-    pub outage_len: SimDuration,
     /// When set, revocation *times* are no longer uniform over the
     /// horizon: successive gaps are lifetimes sampled from this hazard
     /// model (wrapped into the horizon), so chaos timing and the
     /// selection layer share one preemption distribution. `None` (the
     /// default) keeps the legacy uniform draws byte-identical.
     pub lifetime_hazard: Option<HazardSpec>,
-    /// MTTF parameter for an exponential `lifetime_hazard` (capped
-    /// hazards carry their own parameters).
-    pub lifetime_mttf: SimDuration,
     /// Probability the campaign kills the driver mid-run: the schedule
     /// draws a wave number and the harness suspends the driver at that
     /// wave-commit boundary (via `DriverConfig::suspend_after_waves`),
@@ -100,12 +109,9 @@ pub struct ChaosConfig {
     pub driver_crash_wave_max: u64,
     /// Probability the campaign includes a market-wide collapse: every
     /// live pool worker is removed at one drawn instant, with a fresh
-    /// cohort arriving only after [`Self::collapse_len`]. `0.0` (the
-    /// default) draws nothing.
+    /// cohort arriving ten minutes later. `0.0` (the default) draws
+    /// nothing.
     pub market_collapse_prob: f64,
-    /// How long a market collapse leaves the cluster empty before the
-    /// recovery cohort arrives.
-    pub collapse_len: SimDuration,
 }
 
 impl ChaosConfig {
@@ -120,26 +126,18 @@ impl ChaosConfig {
             spec: WorkerSpec::r3_large(),
             revocations: 6,
             unwarned_frac: 0.5,
-            warning_lead: SimDuration::from_secs(120),
             mass_revoke_prob: 0.2,
             groups: Vec::new(),
             flap_prob: 0.25,
-            flap_cycles: 3,
-            flap_gap: SimDuration::from_secs(15),
             replacements: true,
-            replacement_delay: SimDuration::from_secs(120),
             delayed_frac: 0.3,
-            delay_factor: 8.0,
             torn_write_prob: 0.15,
             failed_write_prob: 0.1,
             outages: 2,
-            outage_len: SimDuration::from_mins(5),
             lifetime_hazard: None,
-            lifetime_mttf: SimDuration::from_hours(1),
             driver_crash_prob: 0.0,
             driver_crash_wave_max: 8,
             market_collapse_prob: 0.0,
-            collapse_len: SimDuration::from_mins(10),
         }
     }
 
@@ -201,10 +199,10 @@ fn correlated_ext_groups(seed: u64, workers: u32) -> Vec<Vec<u64>> {
         &traces,
         SimTime::ZERO,
         SimTime::ZERO + SimDuration::from_days(30),
-        SimDuration::from_mins(10),
-        2.0,
+        CORRELATION_STEP,
+        SPIKE_THRESHOLD,
     );
-    correlated_groups(&corr, 0.25)
+    correlated_groups(&corr, MAX_CORRELATION)
         .into_iter()
         .map(|group| {
             (1..=u64::from(workers))
@@ -248,9 +246,7 @@ impl ChaosSchedule {
         // no longer hosts is deliberate chaos (the driver must shrug).
         let mut pool: Vec<u64> = (1..=u64::from(cfg.n_workers.max(1))).collect();
         let mut next_replacement_ext: u64 = 9_000_000;
-        let hazard = cfg
-            .lifetime_hazard
-            .map(|spec| spec.build(cfg.lifetime_mttf));
+        let hazard = cfg.lifetime_hazard.map(|spec| spec.build(LIFETIME_MTTF));
         let mut hazard_clock = SimDuration::ZERO;
 
         for _ in 0..cfg.revocations {
@@ -281,7 +277,7 @@ impl ChaosSchedule {
                 let warned = cfg.unwarned_frac < 1.0 && !rng.gen_bool(cfg.unwarned_frac);
                 if warned {
                     let warn_t = t
-                        .saturating_sub(cfg.warning_lead)
+                        .saturating_sub(CloudSim::EC2_WARNING)
                         .max(SimTime::from_millis(1));
                     events.push((warn_t, WorkerEvent::Warn { ext_id: v }));
                 }
@@ -297,11 +293,9 @@ impl ChaosSchedule {
                 if cfg.replacements {
                     let late = cfg.delayed_frac > 0.0 && rng.gen_bool(cfg.delayed_frac);
                     let delay = if late {
-                        SimDuration::from_secs_f64(
-                            cfg.replacement_delay.as_secs_f64() * cfg.delay_factor.max(1.0),
-                        )
+                        CloudSim::DEFAULT_ACQUISITION_DELAY * DELAY_FACTOR
                     } else {
-                        cfg.replacement_delay
+                        CloudSim::DEFAULT_ACQUISITION_DELAY
                     };
                     let ext = next_replacement_ext;
                     next_replacement_ext += 1;
@@ -321,8 +315,8 @@ impl ChaosSchedule {
             }
             if cfg.flap_prob > 0.0 && rng.gen_bool(cfg.flap_prob) {
                 let mut ft = t;
-                for _ in 0..cfg.flap_cycles {
-                    ft += cfg.flap_gap;
+                for _ in 0..FLAP_CYCLES {
+                    ft += FLAP_GAP;
                     events.push((
                         ft,
                         WorkerEvent::Add {
@@ -330,7 +324,7 @@ impl ChaosSchedule {
                             spec: cfg.spec,
                         },
                     ));
-                    ft += cfg.flap_gap;
+                    ft += FLAP_GAP;
                     events.push((ft, WorkerEvent::Remove { ext_id: victim }));
                 }
                 notes.push((t, "flap".to_string(), format!("ext-{victim}")));
@@ -340,7 +334,7 @@ impl ChaosSchedule {
         let mut outages: Vec<(SimTime, SimTime)> = Vec::new();
         for _ in 0..cfg.outages {
             let s = SimTime::from_millis(rng.gen_range(1..horizon_ms));
-            outages.push((s, s + cfg.outage_len));
+            outages.push((s, s + OUTAGE_LEN));
             notes.push((
                 s,
                 "store_outage".to_string(),
@@ -370,7 +364,7 @@ impl ChaosSchedule {
                 "market_collapse".to_string(),
                 format!("workers-{}", pool.len()),
             ));
-            let rt = t + cfg.collapse_len;
+            let rt = t + COLLAPSE_LEN;
             for _ in 0..cfg.n_workers.max(1) {
                 let ext = next_replacement_ext;
                 next_replacement_ext += 1;
@@ -669,7 +663,7 @@ mod tests {
         assert!((1..=5).contains(&wave));
         assert!(s.notes.iter().any(|(_, k, _)| k == "driver_crash"));
         // The collapse removes the whole live pool at one instant and
-        // brings a fresh cohort exactly collapse_len later.
+        // brings a fresh cohort exactly COLLAPSE_LEN later.
         let (ct, _, target) = s
             .notes
             .iter()
@@ -690,9 +684,37 @@ mod tests {
         let cohort = s
             .worker_events
             .iter()
-            .filter(|(t, e)| *t == ct + cfg.collapse_len && matches!(e, WorkerEvent::Add { .. }))
+            .filter(|(t, e)| *t == ct + COLLAPSE_LEN && matches!(e, WorkerEvent::Add { .. }))
             .count();
         assert_eq!(cohort, cfg.n_workers as usize);
+    }
+
+    /// FNV-1a over the debug rendering of 64 seeds' schedules.
+    fn schedule_digest(kinds: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..64 {
+            let mut cfg = ChaosConfig::for_fault_kinds(seed, kinds, 4);
+            cfg.horizon = SimDuration::from_mins(30);
+            let s = ChaosSchedule::generate(&cfg);
+            let line = format!(
+                "{:?}|{:?}|{:?}|{:?}\n",
+                s.worker_events, s.notes, s.outages, s.driver_crash_wave
+            );
+            for b in line.bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn schedules_are_pinned() {
+        assert_eq!(schedule_digest("all"), 0xefba_e7a0_2eb6_ba38);
+        assert_eq!(
+            schedule_digest("revoke,store,driver-crash,market-collapse"),
+            0x7ad8_613b_27e6_26c4
+        );
     }
 
     #[test]

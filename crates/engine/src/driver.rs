@@ -24,14 +24,11 @@ use crate::shuffle::{BucketedBlock, RangePartitioner, ShuffleId};
 use crate::stats::{ActionRecord, RunStats};
 use crate::value::Value;
 
-/// A unified retry policy: an attempt budget plus capped exponential
-/// backoff in virtual time.
-///
-/// One shape covers the driver's historically ad-hoc retry loops — the
-/// store-outage wait, the gather re-run loop — so chaos campaigns and
-/// callers tune a single kind of knob. `backoff(attempt)` doubles from
-/// `backoff_base` per attempt and saturates at `backoff_cap`; a zero
-/// base means "retry immediately" (no virtual time passes).
+/// A retry policy: an attempt budget plus capped exponential backoff in
+/// virtual time, used by [`DriverConfig::store_retry`] for the
+/// store-outage wait. `backoff(attempt)` doubles from `backoff_base` per
+/// attempt and saturates at `backoff_cap`; a zero base means "retry
+/// immediately" (no virtual time passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts allowed before the loop gives up with a typed error.
@@ -79,21 +76,32 @@ impl RetryPolicy {
     }
 }
 
-/// Tuning knobs for a [`Driver`].
-///
-/// Construct through [`DriverConfig::builder`] — the supported path, kept
-/// stable as fields are added (struct-literal construction is
-/// deprecated-in-spirit and may break when this becomes
-/// `#[non_exhaustive]`).
+/// Hard cap on scheduler loop iterations per action, guarding against
+/// revocation livelock (MTTF far below task granularity).
+const MAX_ITERATIONS: u64 = 5_000_000;
+
+/// Gather attempts per action. A result block can vanish between job
+/// completion and gather (a same-instant revocation); every failed
+/// attempt but the last re-runs the job at once, and the last fails the
+/// action with [`EngineError::RetryBudgetExhausted`].
+const GATHER_RETRIES: u64 = 3;
+
+/// Sliding window over which repeated revocations of the same external
+/// id count as flapping.
+const FLAP_WINDOW: SimDuration = SimDuration::from_secs(600);
+
+/// Revocations of one external id within [`FLAP_WINDOW`] that
+/// quarantine it (further joins are ignored).
+const FLAP_THRESHOLD: u32 = 3;
+
+/// Tuning knobs for a [`Driver`], built through [`DriverConfig::builder`].
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct DriverConfig {
     /// The virtual-time cost model.
     pub cost: CostModel,
     /// The durable-storage bandwidth model.
     pub storage: StorageConfig,
-    /// Hard cap on scheduler loop iterations per action, guarding against
-    /// revocation livelock (MTTF far below task granularity).
-    pub max_iterations: u64,
     /// Host threads used to materialize each scheduling wave's tasks in
     /// parallel (real wall-clock parallelism; virtual time is
     /// unaffected). Results are committed in fixed task-key order on the
@@ -105,23 +113,6 @@ pub struct DriverConfig {
     /// capped-exponential backoff waits a restore spends before failing
     /// the action with [`EngineError::StoreUnavailable`].
     pub store_retry: RetryPolicy,
-    /// Retry policy for the gather loop: how many times the driver
-    /// re-runs the job when a result block vanishes between completion
-    /// and gather (same-instant revocation) before failing with
-    /// [`EngineError::RetryBudgetExhausted`].
-    pub gather_retry: RetryPolicy,
-    /// Budget of integrity-check restore fallbacks (each one forces a
-    /// lineage recompute) allowed per action before it fails with
-    /// [`EngineError::RetryBudgetExhausted`]. `u64::MAX` disables the
-    /// budget (the default).
-    pub recompute_depth_budget: u64,
-    /// Sliding window over which repeated revocations of the same
-    /// external id count as flapping.
-    pub flap_window: SimDuration,
-    /// Revocations of one external id within [`DriverConfig::flap_window`]
-    /// that quarantine it (further joins are ignored). `0` disables
-    /// quarantining.
-    pub flap_threshold: u32,
     /// Enables the columnar batch execution path: partitions of
     /// batch-capable ops (built through the `*_kernel` context
     /// constructors) are stored as typed column vectors and run through
@@ -144,17 +135,12 @@ impl Default for DriverConfig {
         DriverConfig {
             cost: CostModel::default(),
             storage: StorageConfig::default(),
-            max_iterations: 5_000_000,
             host_threads: 1,
             store_retry: RetryPolicy::backoff(
                 6,
                 SimDuration::from_secs(1),
                 SimDuration::from_secs(60),
             ),
-            gather_retry: RetryPolicy::immediate(3),
-            recompute_depth_budget: u64::MAX,
-            flap_window: SimDuration::from_secs(600),
-            flap_threshold: 3,
             columnar: true,
             suspend_after_waves: None,
         }
@@ -175,7 +161,10 @@ impl DriverConfig {
     /// (proven bit-identical by the determinism suite) and
     /// `suspend_after_waves` (which necessarily differs between a
     /// crashing run and its resume replay). [`Driver::resume`] rejects
-    /// a manifest whose fingerprint does not match.
+    /// a manifest whose fingerprint does not match. The constants that
+    /// were once fields keep their slots in the hashed string (the
+    /// retired recompute budget as `u64::MAX`), so persisted manifests
+    /// still resume.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |s: &str| {
@@ -188,12 +177,12 @@ impl DriverConfig {
             "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}|{}",
             self.cost,
             self.storage,
-            self.max_iterations,
+            MAX_ITERATIONS,
             self.store_retry,
-            self.gather_retry,
-            self.recompute_depth_budget,
-            self.flap_window,
-            self.flap_threshold,
+            RetryPolicy::immediate(GATHER_RETRIES),
+            u64::MAX,
+            FLAP_WINDOW,
+            FLAP_THRESHOLD,
         ));
         h
     }
@@ -231,12 +220,6 @@ impl DriverConfigBuilder {
         self
     }
 
-    /// Hard cap on scheduler loop iterations per action.
-    pub fn max_iterations(mut self, max: u64) -> Self {
-        self.cfg.max_iterations = max;
-        self
-    }
-
     /// Host threads used to materialize each wave in parallel. Any value
     /// produces bit-identical results; see [`DriverConfig::host_threads`].
     pub fn host_threads(mut self, threads: usize) -> Self {
@@ -258,35 +241,10 @@ impl DriverConfigBuilder {
         self
     }
 
-    /// Retry policy for the gather re-run loop.
-    pub fn gather_retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.gather_retry = policy;
-        self
-    }
-
     /// Suspend the run once this many waves have committed (see
     /// [`DriverConfig::suspend_after_waves`]).
     pub fn suspend_after_waves(mut self, waves: u64) -> Self {
         self.cfg.suspend_after_waves = Some(waves);
-        self
-    }
-
-    /// Per-action budget of integrity-check restore fallbacks.
-    pub fn recompute_depth_budget(mut self, budget: u64) -> Self {
-        self.cfg.recompute_depth_budget = budget;
-        self
-    }
-
-    /// Sliding window for flapping-worker detection.
-    pub fn flap_window(mut self, window: SimDuration) -> Self {
-        self.cfg.flap_window = window;
-        self
-    }
-
-    /// Revocations within the flap window that quarantine an external
-    /// id (`0` disables).
-    pub fn flap_threshold(mut self, threshold: u32) -> Self {
-        self.cfg.flap_threshold = threshold;
         self
     }
 
@@ -393,9 +351,6 @@ pub struct Driver {
     remove_times: HashMap<u64, VecDeque<SimTime>>,
     /// External ids quarantined for flapping: their joins are ignored.
     quarantined: HashSet<u64>,
-    /// Integrity-check restore fallbacks admitted during the current
-    /// action (checked against `config.recompute_depth_budget`).
-    fallback_recomputes: u64,
     /// Committed-wave frontier: `advance_and_commit` calls that landed
     /// at least one task. Deterministic across `host_threads`, so it is
     /// the resume-manifest's notion of progress.
@@ -444,7 +399,6 @@ impl Driver {
             corrupt_reported: HashSet::new(),
             remove_times: HashMap::new(),
             quarantined: HashSet::new(),
-            fallback_recomputes: 0,
             waves_committed: 0,
             session: "run".to_string(),
             pending_suspend: false,
@@ -800,7 +754,7 @@ impl Driver {
         let mut iterations = 0u64;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::JobBudgetExhausted {
                     phase: "idle",
                     iterations,
@@ -861,7 +815,6 @@ impl Driver {
         let name = format!("{label}(rdd-{})", target.0);
         self.trace
             .emit_with(started, || EventKind::ActionStarted { name: name.clone() });
-        self.fallback_recomputes = 0;
         self.pump_injector();
         self.run_job(target)?;
         let parts = self.gather(target)?;
@@ -883,10 +836,7 @@ impl Driver {
         let mut iterations = 0u64;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
-                return Err(EngineError::RetryBudgetExhausted { rdd: target });
-            }
-            if self.fallback_recomputes > self.config.recompute_depth_budget {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::RetryBudgetExhausted { rdd: target });
             }
             if let Some(e) = self.take_interrupt() {
@@ -1052,21 +1002,20 @@ impl Driver {
         }
     }
 
-    /// Flap detection: a worker revoked [`DriverConfig::flap_threshold`]
-    /// times within [`DriverConfig::flap_window`] is quarantined — its
+    /// Flap detection: a worker revoked [`FLAP_THRESHOLD`] times
+    /// within [`FLAP_WINDOW`] is quarantined — its
     /// future joins are ignored, so replacement capacity comes from
     /// stable instances instead.
     fn note_remove(&mut self, ext_id: u64, t: SimTime) {
-        if self.config.flap_threshold == 0 || self.quarantined.contains(&ext_id) {
+        if self.quarantined.contains(&ext_id) {
             return;
         }
-        let window = self.config.flap_window;
         let times = self.remove_times.entry(ext_id).or_default();
         times.push_back(t);
-        while times.front().map(|&f| f + window < t).unwrap_or(false) {
+        while times.front().map(|&f| f + FLAP_WINDOW < t).unwrap_or(false) {
             times.pop_front();
         }
-        if times.len() as u32 >= self.config.flap_threshold {
+        if times.len() as u32 >= FLAP_THRESHOLD {
             let removes = times.len() as u64;
             self.quarantined.insert(ext_id);
             self.remove_times.remove(&ext_id);
@@ -1141,7 +1090,6 @@ impl Driver {
             if !self.corrupt_reported.insert(block.clone()) {
                 continue;
             }
-            self.fallback_recomputes += 1;
             if fault == ReadFault::Corrupt {
                 self.trace
                     .emit_with(now, || EventKind::CheckpointCorruptDetected {
@@ -1531,7 +1479,6 @@ impl Driver {
         self.stats.restores += out.restores;
         self.stats.restore_time += out.restore_time;
         self.stats.recompute_time += out.recompute_time;
-        self.fallback_recomputes += out.fallbacks;
         let now = self.clock.now();
         if self.trace.is_enabled() {
             // Compute-phase events were buffered in the effect ledger;
@@ -2146,10 +2093,8 @@ impl Driver {
 
     /// Fetches every partition of `target` to the driver, charging
     /// parallel transfer time. A vanished block (same-instant
-    /// revocation) re-runs the job under
-    /// [`DriverConfig::gather_retry`].
+    /// revocation) re-runs the job, within [`GATHER_RETRIES`] attempts.
     fn gather(&mut self, target: RddId) -> Result<Vec<PartitionData>> {
-        let retry = self.config.gather_retry;
         let mut attempt = 0u64;
         loop {
             let n = self.ctx.lineage().meta(target).num_partitions;
@@ -2194,13 +2139,8 @@ impl Driver {
             // A block vanished between job completion and gather (e.g. a
             // same-instant revocation): re-run the job.
             attempt += 1;
-            if retry.exhausted(attempt) {
+            if attempt >= GATHER_RETRIES {
                 break;
-            }
-            let wait = retry.delay(attempt - 1);
-            if wait > SimDuration::ZERO {
-                self.clock.advance(wait);
-                self.pump_injector();
             }
             self.run_job(target)?;
         }
@@ -2213,7 +2153,7 @@ impl Driver {
         let mut iterations = 0u64;
         while self.pending_checkpoints() > 0 {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::JobBudgetExhausted {
                     phase: "drain-checkpoints",
                     iterations,
@@ -2261,6 +2201,13 @@ mod tests {
             .collect();
         out.sort();
         out
+    }
+
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        // Persisted manifests carry this value: it must not move when
+        // config fields become constants.
+        assert_eq!(DriverConfig::default().fingerprint(), 0xbee6_daaf_d64b_6931);
     }
 
     #[test]

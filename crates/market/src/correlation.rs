@@ -11,6 +11,18 @@ use flint_simtime::{SimDuration, SimTime};
 
 use crate::PriceTrace;
 
+/// Sampling step for spike-correlation estimation.
+pub const CORRELATION_STEP: SimDuration = SimDuration::from_mins(10);
+
+/// Spike threshold as a multiple of the window mean price: a sample
+/// above `SPIKE_THRESHOLD ×` mean counts as a spike.
+pub const SPIKE_THRESHOLD: f64 = 2.0;
+
+/// Largest pairwise spike correlation admitted into the uncorrelated
+/// candidate set `L` (§3.2.2); also the grouping threshold for
+/// correlated markets.
+pub const MAX_CORRELATION: f64 = 0.25;
+
 /// Pearson correlation of the two traces' above-threshold indicators,
 /// sampled every `step` over `[from, to)`.
 ///

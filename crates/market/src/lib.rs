@@ -59,6 +59,7 @@ pub use catalog::MarketCatalog;
 pub use cloud::{CloudSim, InstanceEvent, InstanceId, InstanceRecord, InstanceState};
 pub use correlation::{
     correlated_groups, correlation_matrix, greedy_uncorrelated_subset, pairwise_correlation,
+    CORRELATION_STEP, MAX_CORRELATION, SPIKE_THRESHOLD,
 };
 pub use generator::{SpikeProcess, TraceGenerator, TraceProfile};
 pub use hazard::{CappedLifetimeHazard, ExponentialHazard, HazardModel, HazardSpec};

@@ -134,13 +134,14 @@ pub struct McConfig {
     pub start: SimTime,
     /// Cloud seed (preemptible lifetimes).
     pub seed: u64,
-    /// Upper bound on the work lost per revocation event even without
-    /// checkpoints: iterative data-parallel programs have natural lineage
-    /// cuts (persisted per-iteration state, durable inputs), so
-    /// recomputation is bounded by the distance to the nearest surviving
-    /// cut rather than rolling back to zero.
-    pub rollback_cap: SimDuration,
 }
+
+/// Upper bound on the work a partial revocation loses even without
+/// checkpoints: iterative data-parallel programs have natural lineage
+/// cuts (persisted per-iteration state, durable inputs), so
+/// recomputation is bounded by the distance to the nearest surviving
+/// cut rather than rolling back to zero.
+const ROLLBACK_CAP: SimDuration = SimDuration::from_hours(2);
 
 impl Default for McConfig {
     fn default() -> Self {
@@ -155,7 +156,6 @@ impl Default for McConfig {
             selection: SelectionConfig::default(),
             start: SimTime::ZERO + SimDuration::from_days(14),
             seed: 0,
-            rollback_cap: SimDuration::from_hours(2),
         }
     }
 }
@@ -353,7 +353,7 @@ pub fn run_mc_traced(
             let unsaved = if frac >= 1.0 {
                 work - ckpt_work
             } else {
-                (work - ckpt_work).min(cfg.rollback_cap.as_secs_f64())
+                (work - ckpt_work).min(ROLLBACK_CAP.as_secs_f64())
             };
             work -= unsaved * frac;
         }

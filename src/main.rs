@@ -12,17 +12,17 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode};
+use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintConfig, Mode, PRICE_WINDOW};
 use flint::engine::{
     run_chaos, ChaosConfig, ChaosOutcome, ChaosSchedule, CheckpointHooks, Driver, DriverConfig,
-    EagerCheckpoint, EngineError, NoCheckpoint, NoFailures, RunManifest, ScriptedInjector,
-    ServerlessConfig, WorkerEvent, WorkerSpec,
+    EagerCheckpoint, NoCheckpoint, NoFailures, RunManifest, ScriptedInjector, ServerlessConfig,
+    WorkerEvent, WorkerSpec,
 };
 use flint::market::MarketCatalog;
 use flint::model::{
     fan_out, run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind,
 };
-use flint::runner::run_on_flint;
+use flint::runner::{run_session, RunOutcome, RunReport};
 use flint::simtime::{SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig, WorkloadSummary};
@@ -285,7 +285,16 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         },
         None => None,
     };
-    let resume_path = flags.get("resume");
+    let resume = match flags.get("resume") {
+        Some(path) => match read_manifest(path) {
+            Ok(manifest) => Some((path, manifest)),
+            Err(e) => {
+                eprintln!("run: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
     let catalog =
         MarketCatalog::synthetic_ec2(flag_u(flags, "seed", 42), SimDuration::from_days(30));
     let mut config = FlintConfig::builder()
@@ -298,23 +307,52 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         .build();
     config.driver.suspend_after_waves = suspend_after;
 
-    if suspend_after.is_some() || resume_path.is_some() {
-        return cmd_run_degraded(catalog, config, wl.as_ref(), flags, resume_path);
-    }
-    let run = match run_on_flint(catalog, config, wl.as_ref()) {
-        Ok(run) => run,
+    let resume_from = resume.as_ref().map(|(_, m)| m);
+    match run_session(catalog, config, wl.as_ref(), resume_from) {
+        Ok(RunOutcome::Completed(run)) => {
+            print_run_report(&run, flags.get("trace"));
+            match resume {
+                // A resumed run is correct but took the degradation path.
+                Some((path, manifest)) => {
+                    println!(
+                        "resumed      : replayed from wave {} ({path})",
+                        manifest.frontier
+                    );
+                    ExitCode::from(EXIT_DEGRADED)
+                }
+                None => ExitCode::SUCCESS,
+            }
+        }
+        Ok(RunOutcome::Suspended {
+            frontier, manifest, ..
+        }) => {
+            let out = flags
+                .get("manifest")
+                .map_or("flint.manifest", String::as_str);
+            if let Err(e) = std::fs::write(out, manifest) {
+                eprintln!("run: could not write {out}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("suspended    : at wave {frontier}; manifest written to {out}");
+            println!("resume with  : flint run … --resume {out} (same flags)");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("run failed: {e}");
-            return ExitCode::from(EXIT_TYPED);
+            ExitCode::from(EXIT_TYPED)
         }
-    };
-    print_run_report(&run, flags.get("trace"));
-    ExitCode::SUCCESS
+    }
 }
 
-/// The shared tail of every `flint run` variant: the human-readable
-/// summary of a completed run.
-fn print_run_report(run: &flint::runner::RunReport, trace_path: Option<&String>) {
+/// Reads and decodes the run manifest at `path`.
+fn read_manifest(path: &str) -> Result<RunManifest, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("could not read manifest {path}: {e}"))?;
+    RunManifest::decode(&text).map_err(|e| format!("{path} is not a run manifest: {e}"))
+}
+
+/// The human-readable summary of a completed run.
+fn print_run_report(run: &RunReport, trace_path: Option<&String>) {
     println!("workload     : {}", run.summary.name);
     println!("records      : {}", run.summary.records);
     println!("checksum     : {:#018x}", run.summary.checksum);
@@ -341,101 +379,6 @@ fn print_run_report(run: &flint::runner::RunReport, trace_path: Option<&String>)
     println!("storage cost : ${:.2}", run.cost.storage_cost);
     if let Some(path) = trace_path {
         println!("trace        : written to {path}");
-    }
-}
-
-/// The crash-resume arm of `flint run`: drives the cluster directly so
-/// the driver can be suspended at a wave boundary (writing its manifest
-/// to a file) or resumed from one. A resumed run that completes exits
-/// with [`EXIT_DEGRADED`] — correct but through the degradation path.
-fn cmd_run_degraded(
-    catalog: MarketCatalog,
-    config: FlintConfig,
-    wl: &dyn Workload,
-    flags: &HashMap<String, String>,
-    resume_path: Option<&String>,
-) -> ExitCode {
-    let trace = config.trace.clone();
-    let mut cluster = FlintCluster::launch(catalog, config);
-    let mut cost_model = *cluster.driver().cost_model();
-    cost_model.size_scale = wl.recommended_size_scale();
-    cluster.driver_mut().set_cost_model(cost_model);
-
-    let mut resumed_from = None;
-    if let Some(path) = resume_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("run: could not read manifest {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let manifest = match RunManifest::decode(&text) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("run: {path} is not a run manifest: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match cluster.driver_mut().resume(&manifest) {
-            Ok(()) => resumed_from = Some((path.clone(), manifest.frontier)),
-            Err(e) => {
-                eprintln!("run: resume rejected: {e}");
-                return ExitCode::from(EXIT_TYPED);
-            }
-        }
-    }
-
-    let started = cluster.driver().now();
-    match wl.run(cluster.driver_mut()) {
-        Ok(summary) => {
-            let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
-            let stats = cluster.driver().stats().clone();
-            let cost = cluster.shutdown();
-            trace.flush();
-            let run = flint::runner::RunReport {
-                summary,
-                runtime_secs,
-                stats,
-                cost,
-                trace: None,
-            };
-            print_run_report(&run, flags.get("trace"));
-            match resumed_from {
-                Some((path, frontier)) => {
-                    println!("resumed      : replayed from wave {frontier} ({path})");
-                    ExitCode::from(EXIT_DEGRADED)
-                }
-                None => ExitCode::SUCCESS,
-            }
-        }
-        Err(EngineError::Suspended { manifest, frontier }) => {
-            let Some(text) = cluster
-                .driver()
-                .checkpoints()
-                .get_manifest(&manifest)
-                .map(str::to_string)
-            else {
-                eprintln!("run: suspended but no manifest was persisted");
-                return ExitCode::from(EXIT_TYPED);
-            };
-            let out = flags
-                .get("manifest")
-                .cloned()
-                .unwrap_or_else(|| "flint.manifest".to_string());
-            if let Err(e) = std::fs::write(&out, &text) {
-                eprintln!("run: could not write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            trace.flush();
-            println!("suspended    : at wave {frontier}; manifest written to {out}");
-            println!("resume with  : flint run … --resume {out} (same flags)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            ExitCode::from(EXIT_TYPED)
-        }
     }
 }
 
@@ -530,13 +473,12 @@ fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
     let days = flag_u(flags, "days", 60);
     let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
     let now = SimTime::ZERO + SimDuration::from_days(days.saturating_sub(1));
-    let window = SimDuration::from_days(7);
     println!(
         "{:<28} {:>10} {:>10} {:>12}",
         "market", "current$", "mean$", "MTTF"
     );
     for m in cat.spot_markets() {
-        let s = m.stats(now, window, m.on_demand_price);
+        let s = m.stats(now, PRICE_WINDOW, m.on_demand_price);
         println!(
             "{:<28} {:>10.4} {:>10.4} {:>12}",
             m.name,

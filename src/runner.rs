@@ -3,7 +3,7 @@
 //! event trace.
 
 use flint_core::{CostReport, FlintCluster, FlintConfig};
-use flint_engine::{Result, TraceHandle};
+use flint_engine::{EngineError, Result, RunManifest, TraceHandle};
 use flint_market::MarketCatalog;
 use flint_workloads::{Workload, WorkloadSummary};
 
@@ -33,9 +33,31 @@ impl RunReport {
     }
 }
 
+/// How a [`run_session`] ended.
+#[derive(Debug, Clone)]
+pub enum RunOutcome {
+    /// The workload ran to completion.
+    Completed(Box<RunReport>),
+    /// The driver suspended at a wave-commit boundary
+    /// ([`flint_engine::DriverConfig::suspend_after_waves`]) before
+    /// the workload finished. The cluster is dropped without a bill.
+    Suspended {
+        /// Durable-store key the manifest was persisted under.
+        key: String,
+        /// Committed-wave frontier at the suspension.
+        frontier: u64,
+        /// The persisted [`RunManifest`] in its line format; decode it
+        /// and pass it back to [`run_session`] to resume.
+        manifest: String,
+    },
+}
+
 /// Launches a Flint cluster for `config`, sizes the engine's cost model
 /// to the workload's recommended scale, runs the workload to completion,
 /// shuts the cluster down, and returns results plus the bill.
+///
+/// A run whose config suspends it fails with [`EngineError::Suspended`];
+/// [`run_session`] keeps the manifest.
 ///
 /// # Examples
 ///
@@ -63,25 +85,65 @@ pub fn run_on_flint(
     config: FlintConfig,
     workload: &dyn Workload,
 ) -> Result<RunReport> {
+    match run_session(catalog, config, workload, None)? {
+        RunOutcome::Completed(run) => Ok(*run),
+        RunOutcome::Suspended { key, frontier, .. } => Err(EngineError::Suspended {
+            manifest: key,
+            frontier,
+        }),
+    }
+}
+
+/// [`run_on_flint`] with crash-resume: with `resume` set, the fresh
+/// session replays up to the manifest's frontier through
+/// [`Driver::resume`](flint_engine::Driver::resume) and verifies it
+/// there; a run that reaches its `suspend_after_waves` boundary ends
+/// [`RunOutcome::Suspended`] with the persisted manifest.
+pub fn run_session(
+    catalog: MarketCatalog,
+    config: FlintConfig,
+    workload: &dyn Workload,
+    resume: Option<&RunManifest>,
+) -> Result<RunOutcome> {
     let trace = config.trace.clone();
     let mut cluster = FlintCluster::launch(catalog, config);
     let mut cost_model = *cluster.driver().cost_model();
     cost_model.size_scale = workload.recommended_size_scale();
     cluster.driver_mut().set_cost_model(cost_model);
+    if let Some(manifest) = resume {
+        cluster.driver_mut().resume(manifest)?;
+    }
 
     let started = cluster.driver().now();
-    let summary = workload.run(cluster.driver_mut())?;
+    let summary = match workload.run(cluster.driver_mut()) {
+        Ok(summary) => summary,
+        Err(EngineError::Suspended { manifest, frontier }) => {
+            let text = cluster
+                .driver()
+                .checkpoints()
+                .get_manifest(&manifest)
+                .expect("a suspension persists its manifest")
+                .to_string();
+            trace.flush();
+            return Ok(RunOutcome::Suspended {
+                key: manifest,
+                frontier,
+                manifest: text,
+            });
+        }
+        Err(e) => return Err(e),
+    };
     let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
     let stats = cluster.driver().stats().clone();
     let cost = cluster.shutdown();
     trace.flush();
-    Ok(RunReport {
+    Ok(RunOutcome::Completed(Box::new(RunReport {
         summary,
         runtime_secs,
         stats,
         cost,
         trace: trace.is_enabled().then_some(trace),
-    })
+    })))
 }
 
 #[cfg(test)]
@@ -118,5 +180,39 @@ mod tests {
         assert_eq!(run.cost.policy, "flint-interactive");
         assert!(run.trace.is_some());
         assert!(!reader.is_empty(), "an enabled trace must capture events");
+    }
+
+    #[test]
+    fn suspended_session_resumes_to_the_same_answer() {
+        let catalog = || MarketCatalog::synthetic_ec2(5, SimDuration::from_days(30));
+        let wl = KMeans::new(WorkloadConfig {
+            dataset_gb: 0.3,
+            partitions: 4,
+            iterations: 2,
+            seed: 3,
+        });
+        let config = || FlintConfig::builder().n_workers(4).build();
+        let whole = run_on_flint(catalog(), config(), &wl).unwrap();
+
+        let mut suspending = config();
+        suspending.driver.suspend_after_waves = Some(2);
+        let manifest = match run_session(catalog(), suspending, &wl, None).unwrap() {
+            RunOutcome::Suspended {
+                frontier, manifest, ..
+            } => {
+                assert_eq!(frontier, 2);
+                RunManifest::decode(&manifest).unwrap()
+            }
+            RunOutcome::Completed(_) => panic!("the run must suspend at wave 2"),
+        };
+        match run_session(catalog(), config(), &wl, Some(&manifest)).unwrap() {
+            RunOutcome::Completed(run) => {
+                assert_eq!(run.summary.checksum, whole.summary.checksum);
+                assert_eq!(run.stats, whole.stats);
+            }
+            RunOutcome::Suspended { .. } => {
+                panic!("a resumed run without a suspend point completes")
+            }
+        }
     }
 }

@@ -215,7 +215,7 @@ fn diverging_resume_is_rejected_with_typed_errors() {
     // Different determinism-relevant config: rejected immediately.
     let mut other_cfg = DriverConfig::default();
     other_cfg.cost.size_scale = 5e5;
-    other_cfg.max_iterations += 1;
+    other_cfg.store_retry.budget += 1;
     let mut b = Driver::new(
         other_cfg,
         Box::new(EagerCheckpoint),

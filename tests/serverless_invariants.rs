@@ -82,10 +82,7 @@ fn every_workload_matches_its_vm_checksum_under_serverless() {
 fn traced_serverless_run(host_threads: usize, seed: u64) -> (String, flint::core::CostReport) {
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
-    let driver_cfg = DriverConfig {
-        host_threads,
-        ..Default::default()
-    };
+    let driver_cfg = DriverConfig::builder().host_threads(host_threads).build();
     let wl = PageRank::new(small_config(9));
     let run = run_on_flint(
         catalog(),
