@@ -345,16 +345,6 @@ impl FlintCluster {
         }
     }
 
-    /// Launches with no checkpointing at all (the "Recomputation"
-    /// baseline).
-    pub fn launch_without_checkpointing(
-        catalog: MarketCatalog,
-        config: FlintConfig,
-    ) -> FlintCluster {
-        let policy = Self::mode_policy(&config);
-        Self::launch_custom(catalog, config, policy, Some(Box::new(NoCheckpoint)))
-    }
-
     /// The engine driver (define RDDs, run actions).
     pub fn driver_mut(&mut self) -> &mut Driver {
         &mut self.driver
@@ -548,10 +538,10 @@ mod tests {
 
     #[test]
     fn no_checkpoint_variant_never_writes() {
-        let mut cluster = FlintCluster::launch_without_checkpointing(
-            catalog(),
-            FlintConfig::builder().n_workers(4).build(),
-        );
+        let config = FlintConfig::builder().n_workers(4).build();
+        let policy = FlintCluster::mode_policy(&config);
+        let mut cluster =
+            FlintCluster::launch_custom(catalog(), config, policy, Some(Box::new(NoCheckpoint)));
         let _ = word_count(cluster.driver_mut());
         assert_eq!(cluster.driver().stats().checkpoints_written, 0);
         let report = cluster.shutdown();

@@ -18,7 +18,7 @@ use flint_engine::{
     WorkerEvent, WorkerSpec,
 };
 use flint_simtime::SimTime;
-use flint_trace::{Event, MetricsAggregator};
+use flint_trace::{scan, validate, MemoryReader, MetricsAggregator};
 
 /// Local mark-on-generation policy: checkpoint the first sufficiently
 /// large RDD that materializes. Keeps this crate's tests independent of
@@ -42,6 +42,17 @@ impl CheckpointHooks for CheckpointFirstLarge {
         self.done = true;
         vec![CheckpointDirective::Checkpoint(rdd)]
     }
+}
+
+/// The captured stream as JSONL, after the same check `flint trace
+/// validate` applies: every line decodes, timestamps never go backwards,
+/// and every corrupt checkpoint is answered by a lineage fallback.
+fn validated_jsonl(reader: &MemoryReader) -> String {
+    let jsonl = reader.to_jsonl();
+    if let Err(e) = validate(jsonl.as_bytes()) {
+        panic!("emitted trace fails validation: {e}");
+    }
+    jsonl
 }
 
 /// Runs the determinism suite's multi-stage workload — persisted
@@ -98,7 +109,7 @@ fn run_traced(host_threads: usize) -> (String, RunStats) {
     d.collect(sorted).unwrap();
     d.checkpoint_now(sums).unwrap();
 
-    (reader.to_jsonl(), d.stats().clone())
+    (validated_jsonl(&reader), d.stats().clone())
 }
 
 #[test]
@@ -169,7 +180,7 @@ fn run_shuffle_heavy(host_threads: usize) -> (String, RunStats) {
     let rejoined = d.ctx().join(sorted_down, sizes, 8);
     d.collect(rejoined).unwrap();
 
-    (reader.to_jsonl(), d.stats().clone())
+    (validated_jsonl(&reader), d.stats().clone())
 }
 
 #[test]
@@ -187,11 +198,8 @@ fn shuffle_heavy_golden_trace_is_identical_across_host_thread_counts() {
     }
     // The stream is also a complete record: folding it reproduces the
     // engine's own counters even with bucketed shuffle blocks in play.
-    let events: Vec<Event> = golden
-        .lines()
-        .map(|l| Event::from_json(l).expect("every emitted line must parse"))
-        .collect();
-    let agg = MetricsAggregator::from_events(&events);
+    let mut agg = MetricsAggregator::new();
+    scan(golden.as_bytes(), |ev| agg.observe(ev)).expect("emitted stream scans");
     assert_eq!(agg.tasks_run, stats.tasks_run);
     assert_eq!(agg.compute_time_ms, stats.compute_time.as_millis());
     assert_eq!(agg.recompute_time_ms, stats.recompute_time.as_millis());
@@ -290,7 +298,7 @@ fn run_iterative_configured(
         });
     }
     d.collect(ranks).unwrap();
-    (reader.to_jsonl(), d.stats().clone())
+    (validated_jsonl(&reader), d.stats().clone())
 }
 
 /// FNV-1a over the raw JSONL bytes, for pinning the stream against a
@@ -571,7 +579,7 @@ fn run_tpch_shaped(host_threads: usize, columnar: bool) -> (String, RunStats) {
     );
     let sorted = d.ctx().sort_by_key(agg, 2, true);
     d.collect(sorted).unwrap();
-    (reader.to_jsonl(), d.stats().clone())
+    (validated_jsonl(&reader), d.stats().clone())
 }
 
 /// Hash of `run_tpch_shaped(1, *)`'s JSONL captured when the columnar
@@ -609,13 +617,10 @@ fn tpch_shaped_golden_trace_is_identical_across_threads_and_forms() {
 #[test]
 fn aggregator_reproduces_run_stats_exactly() {
     let (jsonl, stats) = run_traced(2);
-    let events: Vec<Event> = jsonl
-        .lines()
-        .map(|l| Event::from_json(l).expect("every emitted line must parse"))
-        .collect();
-    let agg = MetricsAggregator::from_events(&events);
+    let mut agg = MetricsAggregator::new();
+    let events = scan(jsonl.as_bytes(), |ev| agg.observe(ev)).expect("emitted stream scans");
 
-    assert_eq!(agg.events, events.len() as u64);
+    assert_eq!(agg.events, events);
     assert_eq!(agg.tasks_run, stats.tasks_run);
     assert_eq!(agg.compute_time_ms, stats.compute_time.as_millis());
     assert_eq!(agg.recompute_time_ms, stats.recompute_time.as_millis());
@@ -637,20 +642,20 @@ fn aggregator_reproduces_run_stats_exactly() {
 #[test]
 fn trace_round_trips_through_json() {
     let (jsonl, _) = run_traced(1);
-    for line in jsonl.lines() {
-        let ev = Event::from_json(line).expect("line must parse");
-        assert_eq!(ev.to_json(), line, "JSON round-trip must be lossless");
-    }
+    let mut reencoded = String::new();
+    scan(jsonl.as_bytes(), |ev| {
+        reencoded.push_str(&ev.to_json());
+        reencoded.push('\n');
+    })
+    .expect("emitted stream scans");
+    assert_eq!(reencoded, jsonl, "JSON round-trip must be lossless");
 }
 
 #[test]
 fn timestamps_never_go_backwards() {
     let (jsonl, _) = run_traced(8);
-    let mut prev = SimTime::ZERO;
-    for line in jsonl.lines() {
-        let ev = Event::from_json(line).unwrap();
-        assert!(ev.t >= prev, "event stream must be time-ordered");
-        prev = ev.t;
+    if let Err(e) = scan(jsonl.as_bytes(), |_| {}) {
+        panic!("event stream must be time-ordered: {e}");
     }
 }
 

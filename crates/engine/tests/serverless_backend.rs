@@ -18,7 +18,7 @@ use flint_engine::{
     ChaosConfig, ChaosSchedule, Driver, DriverConfig, EngineError, NoCheckpoint, NoFailures,
     ServerlessBackend, ServerlessConfig, StoreFaultPolicy, TraceHandle, Value, WorkerSpec,
 };
-use flint_trace::EventKind;
+use flint_trace::{validate, EventKind};
 
 /// A deterministic multi-stage job with two shuffles and a join — enough
 /// map outputs to drive real traffic through the external shuffle
@@ -87,6 +87,10 @@ fn run_serverless(
         d.add_worker_with_ext(ext, WorkerSpec::serverless_slot(mem_gb));
     }
     let output = run_job(&mut d);
+    let jsonl = reader.to_jsonl();
+    if let Err(e) = validate(jsonl.as_bytes()) {
+        panic!("serverless trace fails validation: {e}");
+    }
 
     let mut billed_cost = 0.0f64;
     let mut billed_gb_seconds = 0.0f64;
@@ -108,7 +112,7 @@ fn run_serverless(
         }
     }
     ServerlessRun {
-        jsonl: reader.to_jsonl(),
+        jsonl,
         output,
         billed_cost,
         billed_gb_seconds,

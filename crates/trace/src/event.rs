@@ -76,8 +76,7 @@ macro_rules! event_kinds {
                 }
             }
 
-            /// Every wire name, in declaration order. Used by
-            /// `trace validate` to report the known vocabulary.
+            /// Every wire name, in declaration order.
             pub const NAMES: &'static [&'static str] = &[
                 $( stringify!($name), )*
             ];

@@ -17,6 +17,10 @@
 //! * [`MetricsAggregator`] — folds a stream back into the totals
 //!   `RunStats`/`CostReport` track, as a cross-check that traces are
 //!   complete.
+//! * [`scan`] / [`validate`] — the one JSONL trace reader and its
+//!   validator (decodable lines, monotone timestamps, every corrupt
+//!   checkpoint answered by a lineage fallback); `flint trace
+//!   summary/validate` are thin calls into them.
 //!
 //! ## Determinism
 //!
@@ -30,10 +34,12 @@
 #![warn(missing_docs)]
 
 mod aggregate;
+mod check;
 mod event;
 mod sink;
 
 pub use aggregate::{Histogram, MetricsAggregator};
+pub use check::{scan, validate, TraceError, Validated};
 pub use event::{Event, EventKind, ParseError};
 pub use sink::{
     memory_sink, EventSink, JsonlSink, MemoryReader, MemorySink, TraceBus, TraceHandle,

@@ -24,7 +24,7 @@ use flint::model::{
 };
 use flint::runner::{run_session, RunOutcome, RunReport};
 use flint::simtime::{SimDuration, SimTime};
-use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
+use flint::trace::{JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig, WorkloadSummary};
 
 /// Exit codes beyond plain success/failure, so callers can tell the
@@ -43,7 +43,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let flags = parse_flags(&args[1..]);
-    // A panic anywhere below is an invariant violation, reported with its
+    // A closed stdout (`flint markets | head -1`) means the reader has
+    // what it wanted: that one panic is silenced and ends the run with 0.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !is_closed_stdout(info.payload()) {
+            default_hook(info);
+        }
+    }));
+    // Any other panic below is an invariant violation, reported with its
     // own exit code so scripts can tell it from a typed fail-stop error.
     let code = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cmd.as_str() {
         "run" => cmd_run(&args, &flags),
@@ -63,7 +71,19 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }));
-    code.unwrap_or(ExitCode::from(EXIT_PANIC))
+    match code {
+        Ok(code) => code,
+        Err(payload) if is_closed_stdout(&*payload) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::from(EXIT_PANIC),
+    }
+}
+
+/// Whether a panic payload is the standard library's `print!` failure
+/// on a stdout pipe whose reader has gone away.
+fn is_closed_stdout(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.downcast_ref::<String>().is_some_and(|msg| {
+        msg.starts_with("failed printing to stdout: ") && msg.contains("Broken pipe")
+    })
 }
 
 fn usage() {
@@ -111,9 +131,9 @@ USAGE:
                            seeds and merges a campaign report; --jobs fans
                            seeds across host threads, byte-identical to
                            --jobs 1)
-  flint experiment <name>   (fig02a fig02b fig03 fig04 fig06a fig06b fig06c
-                             fig07 fig08 fig09 fig10a fig10b fig11a fig11b
-                             multiaz storage ablation_* ext_*)
+  flint experiment <name>   (print one evaluation table, named as its
+                             results/<name>.json; an unknown name lists
+                             every experiment)
   flint trace summary <FILE>    (fold a JSONL event trace into run metrics)
   flint trace validate <FILE>   (parse-check a JSONL event trace and verify
                                  fault/recovery pairing: every corrupt
@@ -572,30 +592,21 @@ fn cmd_trace(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
             // One pass, one event in memory at a time: multi-gigabyte
             // traces stream through instead of materializing.
             if sub == "validate" {
-                let mut pairing = FaultPairing::default();
-                let events = match scan_trace(reader, |ev| pairing.observe(ev)) {
-                    Ok(n) => n,
-                    Err(msg) => {
-                        eprintln!("{path}: {msg}");
+                match flint::trace::validate(reader) {
+                    Ok(v) if v.pairs > 0 => println!(
+                        "{path}: OK ({} events, {} fault/recovery pairs)",
+                        v.events, v.pairs
+                    ),
+                    Ok(v) => println!("{path}: OK ({} events)", v.events),
+                    Err(e) => {
+                        eprintln!("{path}: {e}");
                         return ExitCode::FAILURE;
                     }
-                };
-                let pairs = match pairing.finish() {
-                    Ok(pairs) => pairs,
-                    Err(msg) => {
-                        eprintln!("{path}: {msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if pairs > 0 {
-                    println!("{path}: OK ({events} events, {pairs} fault/recovery pairs)");
-                } else {
-                    println!("{path}: OK ({events} events)");
                 }
             } else {
                 let mut agg = MetricsAggregator::new();
-                if let Err(msg) = scan_trace(reader, |ev| agg.observe(ev)) {
-                    eprintln!("{path}: {msg}");
+                if let Err(e) = flint::trace::scan(reader, |ev| agg.observe(ev)) {
+                    eprintln!("{path}: {e}");
                     return ExitCode::FAILURE;
                 }
                 print!("{agg}");
@@ -605,86 +616,6 @@ fn cmd_trace(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         other => {
             eprintln!("unknown trace subcommand: {other} (expected summary|validate|prices)");
             ExitCode::FAILURE
-        }
-    }
-}
-
-/// Streams a JSONL event trace, enforcing the invariants a real run
-/// guarantees: every line decodes, there is at least one event, and
-/// timestamps never go backwards. Each decoded event is handed to
-/// `on_event` and dropped, so arbitrarily large traces scan in constant
-/// memory. Returns the event count.
-fn scan_trace(
-    reader: impl std::io::BufRead,
-    mut on_event: impl FnMut(&Event),
-) -> Result<u64, String> {
-    let mut events = 0u64;
-    let mut last_t = None;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: read error: {e}", i + 1))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = Event::from_json(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if let Some(prev) = last_t {
-            if ev.t < prev {
-                return Err(format!(
-                    "line {}: timestamp {} goes backwards (previous {})",
-                    i + 1,
-                    ev.t,
-                    prev
-                ));
-            }
-        }
-        last_t = Some(ev.t);
-        on_event(&ev);
-        events += 1;
-    }
-    if events == 0 {
-        return Err("no events".to_string());
-    }
-    Ok(events)
-}
-
-/// Streaming fold of the fault/recovery pairing invariant: every
-/// `CheckpointCorruptDetected` for a block must be answered later in the
-/// stream by a `RestoreFallback` for the same block — unless the run
-/// ended in a typed failure, visible as an action that started but never
-/// finished.
-#[derive(Default)]
-struct FaultPairing {
-    pending: Vec<String>,
-    pairs: usize,
-    open_actions: i64,
-}
-
-impl FaultPairing {
-    fn observe(&mut self, ev: &Event) {
-        match &ev.kind {
-            EventKind::CheckpointCorruptDetected { block } => self.pending.push(block.clone()),
-            EventKind::RestoreFallback { block, .. } => {
-                if let Some(pos) = self.pending.iter().position(|b| b == block) {
-                    self.pending.remove(pos);
-                    self.pairs += 1;
-                }
-            }
-            EventKind::ActionStarted { .. } => self.open_actions += 1,
-            EventKind::ActionFinished { .. } => self.open_actions -= 1,
-            _ => {}
-        }
-    }
-
-    /// Returns the number of matched pairs, or the pairing violation.
-    fn finish(self) -> Result<usize, String> {
-        if self.pending.is_empty() || self.open_actions > 0 {
-            Ok(self.pairs)
-        } else {
-            Err(format!(
-                "{} corrupt-checkpoint detection(s) never answered by a \
-                 restore fallback or typed failure: {:?}",
-                self.pending.len(),
-                self.pending
-            ))
         }
     }
 }
@@ -884,45 +815,20 @@ fn cmd_trace_prices(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_experiment(args: &[String]) -> ExitCode {
-    use flint_bench::{ablations, exp_engine, exp_market, exp_model};
     let Some(name) = args.get(1) else {
         eprintln!("experiment: missing name");
         return ExitCode::FAILURE;
     };
-    let table = match name.as_str() {
-        "fig02a" => exp_market::fig02a_ec2_availability(),
-        "fig02b" => exp_market::fig02b_gce_availability(),
-        "fig03" => exp_engine::fig03_memory_pressure(),
-        "fig04" => exp_market::fig04_correlation(),
-        "fig06a" => exp_engine::fig06a_ckpt_tax(),
-        "fig06b" => exp_engine::fig06b_system_ckpt(),
-        "fig06c" => exp_engine::fig06c_volatility(),
-        "fig07" => exp_engine::fig07_single_revocation(),
-        "fig08" => exp_engine::fig08_concurrent_failures(),
-        "fig09" => exp_engine::fig09_interactive(),
-        "fig10a" => exp_model::fig10a_mttf_sweep(),
-        "fig10b" => exp_model::fig10b_flint_vs_spark(),
-        "fig11a" => exp_model::fig11a_unit_cost(),
-        "fig11b" => exp_model::fig11b_bid_sweep(),
-        "multiaz" => exp_engine::tab_multi_az(),
-        "storage" => exp_model::tab_storage_cost(),
-        "ablation_tau" => ablations::ablation_fixed_tau(),
-        "ablation_periodic" => ablations::ablation_adaptive_vs_periodic(),
-        "ablation_fastpath" => ablations::ablation_shuffle_fastpath(),
-        "ablation_markets" => ablations::ablation_market_count(),
-        "ablation_bids" => ablations::ablation_bid_stratification(),
-        "ext_streaming" => ablations::ext_streaming_latency(),
-        "ablation_delta" => ablations::ablation_adaptive_delta(),
-        "ablation_portfolio" => ablations::ablation_portfolio(),
-        "ablation_backend" => ablations::ablation_backend(),
-        "ablation_backstop" => ablations::ablation_backstop(),
-        other => {
-            eprintln!("unknown experiment: {other}");
-            return ExitCode::FAILURE;
+    match flint_bench::experiment(name) {
+        Ok(f) => {
+            println!("{}", f());
+            ExitCode::SUCCESS
         }
-    };
-    println!("{table}");
-    ExitCode::SUCCESS
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,11 @@ fn run_campaign(jobs: usize) -> (String, Vec<(u64, u64)>) {
         let trace = TraceHandle::disabled();
         let reader = trace.attach_memory(0);
         let res = run_mc_traced(&cat, &campaign.cfg_for(i), trace);
-        (res, fnv1a(reader.to_jsonl().as_bytes()))
+        let jsonl = reader.to_jsonl();
+        if let Err(e) = flint::trace::validate(jsonl.as_bytes()) {
+            panic!("Monte-Carlo trace fails validation: {e}");
+        }
+        (res, fnv1a(jsonl.as_bytes()))
     });
     let mut report = String::new();
     let mut hashes = Vec::new();

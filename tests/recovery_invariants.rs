@@ -12,8 +12,18 @@ use flint::engine::{
 };
 use flint::market::MarketCatalog;
 use flint::simtime::{SimDuration, SimTime};
-use flint::trace::{EventKind, TraceHandle};
+use flint::trace::{Event, EventKind, MemoryReader, TraceHandle};
 use proptest::prelude::*;
+
+/// A finished run's events, after the same check `flint trace validate`
+/// applies: every line decodes, timestamps never go backwards, and every
+/// corrupt checkpoint is answered by a lineage fallback.
+fn validated_events(reader: &MemoryReader) -> Vec<Event> {
+    if let Err(e) = flint::trace::validate(reader.to_jsonl().as_bytes()) {
+        panic!("run trace fails validation: {e}");
+    }
+    reader.events()
+}
 
 /// Builds a deterministic multi-stage job and returns its sorted output,
 /// or the typed error the engine surfaced.
@@ -251,8 +261,7 @@ fn cluster_outcome(
         let mut cluster = FlintCluster::launch(catalog, config);
         let out = run_job(cluster.driver_mut(), 9);
         let report = cluster.shutdown();
-        let billed: f64 = reader
-            .events()
+        let billed: f64 = validated_events(&reader)
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::InstanceBilled { cost, .. } => Some(*cost),
@@ -410,8 +419,7 @@ proptest! {
         let out = run_job(cluster.driver_mut(), 9).unwrap();
         prop_assert!(!out.is_empty());
         let report = cluster.shutdown();
-        let billed: f64 = reader
-            .events()
+        let billed: f64 = validated_events(&reader)
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::InstanceBilled { cost, .. } => Some(*cost),
@@ -448,7 +456,7 @@ proptest! {
         let report = cluster.shutdown();
         let mut billed = 0.0;
         let mut weights = 0u32;
-        for e in reader.events().iter() {
+        for e in validated_events(&reader).iter() {
             match &e.kind {
                 EventKind::InstanceBilled { cost, .. } => billed += *cost,
                 EventKind::PortfolioWeight { .. } => weights += 1,

@@ -66,6 +66,19 @@ fn launch(host_threads: usize, suspend_after: Option<u64>) -> TracedRun {
     TracedRun { driver, reader }
 }
 
+impl TracedRun {
+    /// The session's stream as JSONL, after the same check `flint trace
+    /// validate` applies. A suspended session's stream ends with its
+    /// action still open, which the validator reads as a typed failure.
+    fn trace(&self) -> String {
+        let jsonl = self.reader.to_jsonl();
+        if let Err(e) = flint::trace::validate(jsonl.as_bytes()) {
+            panic!("session trace fails validation: {e}");
+        }
+        jsonl
+    }
+}
+
 /// Strips the suspend/resume bookkeeping events, which by design exist
 /// only in interrupted sessions; everything else must match exactly.
 fn canonical_trace(jsonl: &str) -> String {
@@ -107,7 +120,7 @@ fn uninterrupted(host_threads: usize, seed: i64) -> Uninterrupted {
         out,
         stats: run.driver.stats().clone(),
         now: run.driver.now(),
-        trace: run.reader.to_jsonl(),
+        trace: run.trace(),
         waves: run.driver.waves_committed(),
     }
 }
@@ -138,7 +151,7 @@ fn crash_and_resume(
         .to_string();
     let manifest = RunManifest::decode(&text).expect("manifest round-trips");
     assert_eq!(manifest.frontier, w);
-    let a_trace = a.reader.to_jsonl();
+    let a_trace = a.trace();
     assert!(
         a_trace.contains("\"RunSuspended\""),
         "suspension must be traced"
@@ -150,7 +163,7 @@ fn crash_and_resume(
         .resume(&manifest)
         .expect("config fingerprints match");
     let out = run_job(&mut b.driver, seed).expect("resumed run completes");
-    let trace = b.reader.to_jsonl();
+    let trace = b.trace();
     assert!(
         trace.contains("\"RunResumed\""),
         "crossing the frontier must emit RunResumed"

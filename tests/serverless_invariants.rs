@@ -96,7 +96,11 @@ fn traced_serverless_run(host_threads: usize, seed: u64) -> (String, flint::core
         &wl,
     )
     .unwrap();
-    (reader.to_jsonl(), run.cost)
+    let jsonl = reader.to_jsonl();
+    if let Err(e) = flint::trace::validate(jsonl.as_bytes()) {
+        panic!("serverless trace fails validation: {e}");
+    }
+    (jsonl, run.cost)
 }
 
 #[test]
@@ -126,18 +130,16 @@ fn billing_reconciles_event_stream_aggregator_and_cost_report() {
     assert_eq!(cost.backend, "serverless");
     assert_eq!(cost.policy, "serverless");
 
-    let events: Vec<flint::trace::Event> = jsonl
-        .lines()
-        .map(|l| flint::trace::Event::from_json(l).expect("every line parses"))
-        .collect();
-
     // Raw fold of the event stream, in stream (commit) order — the same
-    // f64 accumulation order the backend used, so equality is exact.
+    // f64 accumulation order the backend used, so equality is exact —
+    // next to the aggregator's fold of the same stream.
     let mut billed_cost = 0.0f64;
     let mut billed_gb = 0.0f64;
     let mut billed_n = 0u64;
     let mut selected = None;
-    for ev in &events {
+    let mut agg = MetricsAggregator::new();
+    flint::trace::scan(jsonl.as_bytes(), |ev| {
+        agg.observe(ev);
         match &ev.kind {
             EventKind::InvocationBilled {
                 gb_seconds, cost, ..
@@ -151,14 +153,14 @@ fn billing_reconciles_event_stream_aggregator_and_cost_report() {
             }
             _ => {}
         }
-    }
+    })
+    .expect("emitted stream scans");
     assert_eq!(selected, Some(("serverless".to_string(), 8)));
     assert_eq!(billed_cost, cost.compute_cost, "Σ events != compute cost");
     assert_eq!(billed_gb, cost.invocation_gb_seconds);
     assert_eq!(billed_n, cost.invocations);
 
     // The aggregator folds to the same ledger.
-    let agg = MetricsAggregator::from_events(&events);
     assert_eq!(agg.backend.as_deref(), Some("serverless"));
     assert_eq!(agg.backend_workers, 8);
     assert_eq!(agg.invocations_billed, cost.invocations);

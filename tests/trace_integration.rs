@@ -6,7 +6,7 @@ use flint::core::{FlintConfig, Mode};
 use flint::market::MarketCatalog;
 use flint::runner::run_on_flint;
 use flint::simtime::SimDuration;
-use flint::trace::{Event, EventKind, MetricsAggregator, TraceHandle};
+use flint::trace::{scan, validate, EventKind, MetricsAggregator, TraceHandle};
 use flint::workloads::{PageRank, WorkloadConfig};
 
 fn small_pagerank() -> PageRank {
@@ -90,9 +90,10 @@ fn untraced_run_returns_no_handle() {
 
 #[test]
 fn jsonl_written_by_a_run_validates_and_summarizes() {
-    // The same contract the CI smoke test exercises through the CLI:
-    // every emitted line parses, timestamps are monotone, and the
-    // summary fold sees the whole run.
+    // The reader and validator `flint trace validate` and `flint trace
+    // summary` run: every emitted line parses, timestamps are monotone,
+    // corrupt checkpoints pair with fallbacks, and the summary fold sees
+    // the whole run.
     let catalog = MarketCatalog::synthetic_ec2(9, SimDuration::from_days(30));
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
@@ -103,16 +104,14 @@ fn jsonl_written_by_a_run_validates_and_summarizes() {
     )
     .unwrap();
     let jsonl = reader.to_jsonl();
-    let mut prev = None;
-    let mut n = 0u64;
-    for line in jsonl.lines() {
-        let ev = Event::from_json(line).expect("emitted line must parse");
-        if let Some(p) = prev {
-            assert!(ev.t >= p, "timestamps must be non-decreasing");
-        }
-        prev = Some(ev.t);
-        n += 1;
-    }
-    assert_eq!(n, reader.len() as u64);
-    assert!(n >= run.stats.tasks_run, "at least one event per task");
+    let checked = validate(jsonl.as_bytes()).expect("emitted trace validates");
+    assert_eq!(checked.events, reader.len() as u64);
+    assert!(
+        checked.events >= run.stats.tasks_run,
+        "at least one event per task"
+    );
+    let mut agg = MetricsAggregator::new();
+    scan(jsonl.as_bytes(), |ev| agg.observe(ev)).expect("emitted trace scans");
+    assert_eq!(agg.events, checked.events);
+    assert_eq!(agg.tasks_run, run.stats.tasks_run);
 }
